@@ -2,7 +2,6 @@
 //!
 //! Measures wall time and post throughput at 1/2/4/8 worker threads for:
 //!
-//! * GreedySC on a fig06-scale slice (parallel gain-init pass),
 //! * the parallel cover verifier (`violations`),
 //! * the batch multi-user digest solver,
 //! * the sharded streaming engine (StreamScan+ and StreamGreedySC+, one
@@ -10,15 +9,18 @@
 //!
 //! Every parallel run is asserted **byte-identical** to its 1-thread
 //! baseline before its timing is recorded — a wrong answer fast is not a
-//! result. Writes `BENCH_parallel.json` at the working directory root
-//! (repo root when run via `cargo run`), including the host's CPU count:
-//! thread counts beyond the hardware parallelism cannot speed up
-//! CPU-bound work, and readers need that context to interpret the sweep.
+//! result. GreedySC is recorded once, sequentially, as the single-thread
+//! reference cost of the same slice (its solver has no threaded path).
+//! Writes `BENCH_parallel.json` at the working directory root (repo root
+//! when run via `cargo run`), stamped with the host's CPU count, the git
+//! revision and the build profile: thread counts beyond the hardware
+//! parallelism cannot speed up CPU-bound work, and readers need that
+//! context to interpret the sweep.
 
 use std::fmt::Write as _;
 
 use mqd_bench::{measure, must, BenchArgs, Measured, CALIBRATED_PER_LABEL_PER_MIN};
-use mqd_core::algorithms::solve_greedy_sc_threads;
+use mqd_core::algorithms::solve_greedy_sc;
 use mqd_core::{coverage, FixedLambda};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_stream::{
@@ -55,19 +57,14 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
 
-    // --- GreedySC (parallel init pass) -----------------------------------
-    let greedy_base = solve_greedy_sc_threads(1, &inst, &f);
-    assert!(coverage::is_cover(&inst, &f, &greedy_base.selected));
-    for &t in THREAD_SWEEP {
-        let (sol, m) = measure(t, inst.len(), || solve_greedy_sc_threads(t, &inst, &f));
-        let identical = sol.selected == greedy_base.selected;
-        assert!(identical, "GreedySC diverged at {t} threads");
-        rows.push(Row {
-            task: "greedy_sc",
-            m,
-            identical,
-        });
-    }
+    // --- GreedySC (sequential reference) ---------------------------------
+    let (greedy, m) = measure(1, inst.len(), || solve_greedy_sc(&inst, &f));
+    assert!(coverage::is_cover(&inst, &f, &greedy.selected));
+    rows.push(Row {
+        task: "greedy_sc",
+        m,
+        identical: true,
+    });
 
     // --- Parallel verifier ------------------------------------------------
     let sparse: Vec<u32> = (0..inst.len() as u32).step_by(7).collect();
@@ -156,9 +153,19 @@ fn main() {
     let _ = writeln!(json, "  \"lambda_ms\": {lambda_ms},");
     let _ = writeln!(json, "  \"tau_ms\": {tau_ms},");
     let _ = writeln!(json, "  \"host_cpus\": {cpus},");
+    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(
         json,
-        "  \"note\": \"all parallel runs asserted byte-identical to the 1-thread baseline; speedups beyond host_cpus threads are not physically possible\","
+        "  \"profile\": \"{}\",",
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        }
+    );
+    let _ = writeln!(
+        json,
+        "  \"note\": \"all parallel runs asserted byte-identical to the 1-thread baseline; greedy_sc is a sequential reference; speedups beyond host_cpus threads are not physically possible\","
     );
     json.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -178,4 +185,17 @@ fn main() {
     let path = "BENCH_parallel.json";
     must(std::fs::write(path, &json), "write BENCH_parallel.json");
     println!("wrote {path}");
+}
+
+/// The working directory's git revision (suffixed `-dirty` when the tree
+/// has uncommitted changes), or `unknown` outside a work tree.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }

@@ -2,8 +2,9 @@
 //! drive the full gen → match → diversify → stream → pack → unpack surface.
 
 use std::fs;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mqdiv() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mqdiv"))
@@ -182,4 +183,67 @@ fn ingest_query_store_workflow() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.lines().count() < 4, "diversified scan: {text}");
     let _ = fs::remove_dir_all(&store);
+}
+
+/// The `serve` start-up line reports the worker count the pool really runs
+/// with — the number STATS carries as `"threads"` — also when the requested
+/// count is below the pool's floor.
+#[test]
+fn serve_startup_line_matches_stats_threads() {
+    for threads in [None, Some("1"), Some("6")] {
+        let mut cmd = mqdiv();
+        cmd.args(["serve", "--addr", "127.0.0.1:0"]);
+        if let Some(n) = threads {
+            cmd.args(["--threads", n]);
+        }
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut announce = String::new();
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut announce)
+            .unwrap();
+        let addr = announce
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected announce line: {announce:?}"))
+            .trim()
+            .to_string();
+        // Kept open until the server exits, so later log lines never hit
+        // a closed pipe.
+        let mut log = BufReader::new(child.stderr.take().unwrap());
+        let mut startup = String::new();
+        log.read_line(&mut startup).unwrap();
+        let logged: usize = startup
+            .strip_prefix("serving with ")
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected start-up line: {startup:?}"));
+
+        let mut client = mqdiv()
+            .args(["client", "--addr", &addr, "--check"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        client
+            .stdin
+            .take()
+            .unwrap()
+            .write_all(b"STATS\nDRAIN\n")
+            .unwrap();
+        let out = client.wait_with_output().unwrap();
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        let stats_threads: usize = text
+            .split("\"threads\":")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no threads field in STATS: {text}"));
+        assert_eq!(logged, stats_threads, "--threads {threads:?}: {startup:?}");
+        assert!(child.wait().unwrap().success());
+    }
 }

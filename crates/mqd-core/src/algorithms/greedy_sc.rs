@@ -25,14 +25,18 @@
 //! All three produce the same cover under the shared tie-break (highest
 //! gain, then smallest post index).
 //!
-//! The lazy variant's dominant cost on large instances is the initial
-//! `gain(k)` pass over every post; [`solve_greedy_sc`] computes it in
-//! parallel with `mqd-par`. This is deterministically byte-identical to the
-//! sequential solver at any thread count: the heap entries `(gain,
-//! Reverse(k))` are distinct totally-ordered values, so a `BinaryHeap` pops
-//! them in the same order no matter how (or on how many threads) they were
-//! produced. The selection loop itself stays sequential — each pick changes
-//! the gains of later picks, which is inherent to greedy set cover.
+//! The implicit variants share a coverage oracle: each `(post, label)`
+//! pair's window `[lo, hi)` into `LP(a)` is computed once up front, indexed
+//! by pair id — one two-pointer sweep per label for a fixed lambda, one
+//! binary search per pair otherwise — so `gain` and `cover_by` never search
+//! again. Before the first pick every occurrence is uncovered, so a post's
+//! initial gain is just the sum of its window widths and the lazy heap is
+//! built without a single Fenwick query. The selection loop is sequential:
+//! each pick changes the gains of later picks, which is inherent to greedy
+//! set cover.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::instance::Instance;
 use crate::lambda::LambdaProvider;
@@ -40,26 +44,43 @@ use crate::post::LabelId;
 use crate::solution::Solution;
 use mqd_setcover::{greedy_cover, BitSet, Goal, PresenceFenwick};
 
-/// Shared implicit-gain machinery: per-label Fenwick trees over `LP(a)`
+/// Shared implicit-gain machinery: every pair's coverage window into
+/// `LP(a)`, indexed by pair id, plus per-label Fenwick trees over `LP(a)`
 /// positions, where "present" means the occurrence is still uncovered.
-pub(crate) struct GainOracle<'a, L: LambdaProvider + ?Sized> {
+pub(crate) struct GainOracle<'a> {
     inst: &'a Instance,
-    lp: &'a L,
+    windows: Vec<(u32, u32)>,
     fenwicks: Vec<PresenceFenwick>,
     remaining: usize,
 }
 
-impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
-    pub(crate) fn new(inst: &'a Instance, lp: &'a L) -> Self {
+impl<'a> GainOracle<'a> {
+    pub(crate) fn new<L: LambdaProvider + ?Sized>(inst: &'a Instance, lp: &L) -> Self {
+        let windows = match lp.as_fixed() {
+            Some(lam) => inst.fixed_pair_windows(lam),
+            None => (0..inst.len() as u32)
+                .flat_map(|k| {
+                    let t = inst.value(k);
+                    inst.labels(k).iter().map(move |&a| {
+                        let lam = lp.lambda(inst, k, a);
+                        if lam < 0 {
+                            return (0, 0);
+                        }
+                        let w =
+                            inst.posting_window(a, t.saturating_sub(lam), t.saturating_add(lam));
+                        (w.start as u32, w.end as u32)
+                    })
+                })
+                .collect(),
+        };
         let fenwicks: Vec<PresenceFenwick> = (0..inst.num_labels())
             .map(|a| PresenceFenwick::all_present(inst.postings(LabelId(a as u16)).len()))
             .collect();
-        let remaining = inst.num_pairs();
         GainOracle {
             inst,
-            lp,
+            windows,
             fenwicks,
-            remaining,
+            remaining: inst.num_pairs(),
         }
     }
 
@@ -68,39 +89,33 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
         self.remaining
     }
 
+    /// `k`'s labels zipped with their coverage windows.
+    fn pairs(&self, k: u32) -> impl Iterator<Item = (&LabelId, &(u32, u32))> {
+        let r = self.inst.pair_range(k);
+        self.inst
+            .labels(k)
+            .iter()
+            .zip(&self.windows[r.start as usize..r.end as usize])
+    }
+
     /// Current gain of picking `k`: uncovered occurrences inside `k`'s
     /// coverage window, summed over its labels.
     pub(crate) fn gain(&self, k: u32) -> u32 {
-        let t = self.inst.value(k);
-        let mut g = 0u32;
-        for &a in self.inst.labels(k) {
-            let lam = self.lp.lambda(self.inst, k, a);
-            if lam < 0 {
-                continue;
-            }
-            let w = self
-                .inst
-                .posting_window(a, t.saturating_sub(lam), t.saturating_add(lam));
-            g += self.fenwicks[a.index()].count_range(w.start, w.end);
-        }
-        g
+        self.pairs(k)
+            .map(|(a, &(lo, hi))| self.fenwicks[a.index()].count_range(lo as usize, hi as usize))
+            .sum()
     }
 
     /// Marks everything covered by picking `k`. Returns how many occurrences
     /// were newly covered.
     pub(crate) fn cover_by(&mut self, k: u32) -> u32 {
-        let t = self.inst.value(k);
+        let r = self.inst.pair_range(k);
+        let windows = &self.windows[r.start as usize..r.end as usize];
         let mut newly = 0u32;
-        for &a in self.inst.labels(k) {
-            let lam = self.lp.lambda(self.inst, k, a);
-            if lam < 0 {
-                continue;
-            }
-            for pos in self
-                .inst
-                .posting_window(a, t.saturating_sub(lam), t.saturating_add(lam))
-            {
-                if self.fenwicks[a.index()].clear(pos) {
+        for (a, &(lo, hi)) in self.inst.labels(k).iter().zip(windows) {
+            let fenwick = &mut self.fenwicks[a.index()];
+            for pos in lo..hi {
+                if fenwick.clear(pos as usize) {
                     newly += 1;
                 }
             }
@@ -108,53 +123,46 @@ impl<'a, L: LambdaProvider + ?Sized> GainOracle<'a, L> {
         self.remaining -= newly as usize;
         newly
     }
+
+    /// Lazy-evaluation greedy from the current coverage: appends picks to
+    /// `selected` until every occurrence is covered. While nothing is
+    /// covered yet, each post's gain is the sum of its window widths.
+    fn fill_lazily(&mut self, selected: &mut Vec<u32>) {
+        let untouched = self.remaining == self.inst.num_pairs();
+        let mut heap: BinaryHeap<(u32, Reverse<u32>)> = (0..self.inst.len() as u32)
+            .map(|k| {
+                let g = if untouched {
+                    self.pairs(k).map(|(_, &(lo, hi))| hi - lo).sum()
+                } else {
+                    self.gain(k)
+                };
+                (g, Reverse(k))
+            })
+            .collect();
+        while self.remaining > 0 {
+            let Some((stale, Reverse(k))) = heap.pop() else {
+                break;
+            };
+            if stale == 0 {
+                break;
+            }
+            let fresh = self.gain(k);
+            if fresh < stale {
+                if fresh > 0 {
+                    heap.push((fresh, Reverse(k)));
+                }
+                continue;
+            }
+            selected.push(k);
+            self.cover_by(k);
+        }
+    }
 }
 
 /// GreedySC with implicit sets and lazy-evaluation selection (default).
-/// The initial gain pass runs on the configured thread count (see
-/// `mqd_par::configured_threads`); the output is byte-identical to the
-/// sequential run regardless.
-pub fn solve_greedy_sc<L: LambdaProvider + Sync + ?Sized>(inst: &Instance, lp: &L) -> Solution {
-    solve_greedy_sc_threads(mqd_par::configured_threads(), inst, lp)
-}
-
-/// [`solve_greedy_sc`] with an explicit thread count for the init pass.
-pub fn solve_greedy_sc_threads<L: LambdaProvider + Sync + ?Sized>(
-    threads: usize,
-    inst: &Instance,
-    lp: &L,
-) -> Solution {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let mut oracle = GainOracle::new(inst, lp);
-    let mut heap: BinaryHeap<(u32, Reverse<u32>)> = {
-        let oracle = &oracle;
-        mqd_par::par_map_range_threads(threads, inst.len(), |k| {
-            let k = k as u32;
-            (oracle.gain(k), Reverse(k))
-        })
-        .into_iter()
-        .collect()
-    };
+pub fn solve_greedy_sc<L: LambdaProvider + ?Sized>(inst: &Instance, lp: &L) -> Solution {
     let mut selected = Vec::new();
-    while oracle.remaining() > 0 {
-        let Some((stale, Reverse(k))) = heap.pop() else {
-            break;
-        };
-        if stale == 0 {
-            break;
-        }
-        let fresh = oracle.gain(k);
-        if fresh < stale {
-            if fresh > 0 {
-                heap.push((fresh, Reverse(k)));
-            }
-            continue;
-        }
-        selected.push(k);
-        oracle.cover_by(k);
-    }
+    GainOracle::new(inst, lp).fill_lazily(&mut selected);
     Solution::new("GreedySC", selected)
 }
 
@@ -174,14 +182,11 @@ pub fn solve_greedy_sc_threads<L: LambdaProvider + Sync + ?Sized>(
 /// assert!(sol.selected.contains(&0));
 /// assert!(coverage::is_cover(&inst, &lam, &sol.selected));
 /// ```
-pub fn complete_cover<L: LambdaProvider + Sync + ?Sized>(
+pub fn complete_cover<L: LambdaProvider + ?Sized>(
     inst: &Instance,
     lp: &L,
     pinned: &[u32],
 ) -> Solution {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let mut oracle = GainOracle::new(inst, lp);
     let mut selected: Vec<u32> = Vec::new();
     for &p in pinned {
@@ -193,32 +198,7 @@ pub fn complete_cover<L: LambdaProvider + Sync + ?Sized>(
         selected.push(p);
         oracle.cover_by(p);
     }
-    let mut heap: BinaryHeap<(u32, Reverse<u32>)> = {
-        let oracle = &oracle;
-        mqd_par::par_map_range(inst.len(), |k| {
-            let k = k as u32;
-            (oracle.gain(k), Reverse(k))
-        })
-        .into_iter()
-        .collect()
-    };
-    while oracle.remaining() > 0 {
-        let Some((stale, Reverse(k))) = heap.pop() else {
-            break;
-        };
-        if stale == 0 {
-            break;
-        }
-        let fresh = oracle.gain(k);
-        if fresh < stale {
-            if fresh > 0 {
-                heap.push((fresh, Reverse(k)));
-            }
-            continue;
-        }
-        selected.push(k);
-        oracle.cover_by(k);
-    }
+    oracle.fill_lazily(&mut selected);
     Solution::new("GreedySC+pins", selected)
 }
 
@@ -250,6 +230,13 @@ pub fn solve_greedy_sc_scan_max<L: LambdaProvider + ?Sized>(inst: &Instance, lp:
 /// then running generic greedy set cover. Memory `O(sum_k |S_k|)` — use only
 /// on small instances (tests, tiny slices).
 pub fn solve_greedy_sc_naive<L: LambdaProvider + ?Sized>(inst: &Instance, lp: &L) -> Solution {
+    let mut covered = BitSet::new(inst.num_pairs());
+    let picked = greedy_cover(&naive_sets(inst, lp), &mut covered, Goal::CoverAll);
+    Solution::new("GreedySC", picked.into_iter().map(|k| k as u32).collect())
+}
+
+/// The sets `S_k` of Algorithm 2: the pair ids post `k` covers, sorted.
+fn naive_sets<L: LambdaProvider + ?Sized>(inst: &Instance, lp: &L) -> Vec<Vec<u32>> {
     let mut sets: Vec<Vec<u32>> = vec![Vec::new(); inst.len()];
     for (k, set) in sets.iter_mut().enumerate() {
         let k = k as u32;
@@ -267,9 +254,7 @@ pub fn solve_greedy_sc_naive<L: LambdaProvider + ?Sized>(inst: &Instance, lp: &L
         set.sort_unstable();
         set.dedup();
     }
-    let mut covered = BitSet::new(inst.num_pairs());
-    let picked = greedy_cover(&sets, &mut covered, Goal::CoverAll);
-    Solution::new("GreedySC", picked.into_iter().map(|k| k as u32).collect())
+    sets
 }
 
 #[cfg(test)]
@@ -300,6 +285,24 @@ mod tests {
         }
     }
 
+    /// `complete_cover` reference: the pins' sets pre-cover the naive
+    /// universe, then the generic greedy fills the rest.
+    fn naive_completion(inst: &Instance, lp: &dyn LambdaProvider, pins: &[u32]) -> Vec<u32> {
+        let sets = naive_sets(inst, lp);
+        let mut covered = BitSet::new(inst.num_pairs());
+        for &p in pins {
+            for &id in &sets[p as usize] {
+                covered.set(id);
+            }
+        }
+        let picked = greedy_cover(&sets, &mut covered, Goal::CoverAll);
+        let all = pins
+            .iter()
+            .copied()
+            .chain(picked.into_iter().map(|k| k as u32));
+        Solution::new("naive+pins", all.collect()).selected
+    }
+
     #[test]
     fn all_three_variants_agree_exactly() {
         let mut state = 7u64;
@@ -323,39 +326,35 @@ mod tests {
                 })
                 .collect();
             let inst = Instance::from_values(items, labels).unwrap();
-            let f = FixedLambda((next() % 40) as i64);
-            let a = solve_greedy_sc(&inst, &f);
-            let b = solve_greedy_sc_scan_max(&inst, &f);
-            let c = solve_greedy_sc_naive(&inst, &f);
-            assert_eq!(a.selected, b.selected, "trial {trial}: lazy vs scan-max");
-            assert_eq!(a.selected, c.selected, "trial {trial}: lazy vs naive");
-            assert!(coverage::is_cover(&inst, &f, &a.selected));
+            let lambda = (next() % 40) as i64;
+            let pins: Vec<u32> = (0..n as u32).filter(|_| next() % 6 == 0).collect();
+            let f = FixedLambda(lambda);
+            let v = VariableLambda::compute(&inst, lambda);
+            for (kind, lp) in [
+                ("fixed", &f as &(dyn LambdaProvider + Sync)),
+                ("variable", &v),
+            ] {
+                let a = solve_greedy_sc(&inst, lp);
+                let b = solve_greedy_sc_scan_max(&inst, lp);
+                let c = solve_greedy_sc_naive(&inst, lp);
+                assert_eq!(
+                    a.selected, b.selected,
+                    "trial {trial} {kind}: lazy vs scan-max"
+                );
+                assert_eq!(
+                    a.selected, c.selected,
+                    "trial {trial} {kind}: lazy vs naive"
+                );
+                assert!(coverage::is_cover(&inst, lp, &a.selected));
+                let pinned = complete_cover(&inst, lp, &pins);
+                assert_eq!(
+                    pinned.selected,
+                    naive_completion(&inst, lp, &pins),
+                    "trial {trial} {kind}: complete_cover vs naive, pins {pins:?}"
+                );
+                assert!(coverage::is_cover(&inst, lp, &pinned.selected));
+            }
         }
-    }
-
-    #[test]
-    fn parallel_init_is_byte_identical_across_thread_counts() {
-        // Large enough to clear the mqd-par inline threshold so chunked
-        // workers actually run.
-        let items: Vec<(i64, Vec<u16>)> = (0..600)
-            .map(|i| {
-                let t = (i * 37 % 5_000) as i64;
-                let l = (i % 7) as u16;
-                if i % 4 == 0 {
-                    (t, vec![l, ((i / 4) % 7) as u16])
-                } else {
-                    (t, vec![l])
-                }
-            })
-            .collect();
-        let inst = Instance::from_values(items, 7).unwrap();
-        let f = FixedLambda(60);
-        let seq = solve_greedy_sc_threads(1, &inst, &f);
-        for threads in [2, 3, 8] {
-            let par = solve_greedy_sc_threads(threads, &inst, &f);
-            assert_eq!(par.selected, seq.selected, "threads={threads}");
-        }
-        assert!(coverage::is_cover(&inst, &f, &seq.selected));
     }
 
     #[test]

@@ -9,7 +9,6 @@ pub mod scan;
 pub use brute::solve_brute;
 pub use greedy_sc::{
     complete_cover, solve_greedy_sc, solve_greedy_sc_naive, solve_greedy_sc_scan_max,
-    solve_greedy_sc_threads,
 };
 pub use opt::{solve_opt, OptConfig};
 pub use scan::{solve_scan, solve_scan_cover, solve_scan_plus, LabelOrder};

@@ -5,7 +5,8 @@
 //!
 //! * posts are sorted by diversity-dimension value (ties broken by id),
 //! * for every label `a` the list `LP(a)` of matching post indices is
-//!   materialized in sorted order,
+//!   materialized in sorted order, together with an aligned array of those
+//!   posts' values, so window searches binary-search contiguous `i64`s,
 //! * every `(post, label)` occurrence is assigned a dense *pair id* so the
 //!   set-cover based algorithms can track coverage in flat bitmaps.
 
@@ -18,6 +19,7 @@ use crate::post::{LabelId, Post, PostId};
 pub struct Instance {
     posts: Vec<Post>,
     postings: Vec<Vec<u32>>,
+    posting_values: Vec<Vec<i64>>,
     pair_offsets: Vec<u32>,
     num_pairs: usize,
     max_labels_per_post: usize,
@@ -42,6 +44,7 @@ impl Instance {
         posts.sort_by_key(|p| (p.value(), p.id()));
 
         let mut postings = vec![Vec::new(); num_labels];
+        let mut posting_values = vec![Vec::new(); num_labels];
         let mut pair_offsets = Vec::with_capacity(posts.len() + 1);
         let mut num_pairs = 0u32;
         let mut max_labels = 0usize;
@@ -50,6 +53,7 @@ impl Instance {
             max_labels = max_labels.max(p.labels().len());
             for &l in p.labels() {
                 postings[l.index()].push(i as u32);
+                posting_values[l.index()].push(p.value());
             }
             num_pairs += p.labels().len() as u32;
         }
@@ -58,6 +62,7 @@ impl Instance {
         Ok(Instance {
             posts,
             postings,
+            posting_values,
             pair_offsets,
             num_pairs: num_pairs as usize,
             max_labels_per_post: max_labels,
@@ -137,6 +142,14 @@ impl Instance {
         &self.postings[a.index()]
     }
 
+    /// The values of the posts in `LP(a)`, aligned with
+    /// [`postings`](Self::postings): `posting_values(a)[j] ==
+    /// value(postings(a)[j])`.
+    #[inline]
+    pub fn posting_values(&self, a: LabelId) -> &[i64] {
+        &self.posting_values[a.index()]
+    }
+
     /// Total number of `(post, label)` occurrences — the universe size of the
     /// set-cover reformulation in Section 4.2.
     #[inline]
@@ -194,10 +207,46 @@ impl Instance {
         min_value: i64,
         max_value: i64,
     ) -> std::ops::Range<usize> {
-        let lp = &self.postings[a.index()];
-        let lo = lp.partition_point(|&i| self.value(i) < min_value);
-        let hi = lp.partition_point(|&i| self.value(i) <= max_value);
+        let vals = &self.posting_values[a.index()];
+        let lo = vals.partition_point(|&v| v < min_value);
+        let hi = vals.partition_point(|&v| v <= max_value);
         lo..hi
+    }
+
+    /// The window `[lo, hi)` into `postings(a)` that a uniform `lambda` gives
+    /// every `(post, label)` pair, indexed by pair id: for a post with value
+    /// `t` it equals `posting_window(a, t - lambda, t + lambda)` (saturating).
+    /// Along `LP(a)` both window ends only move right, so one two-pointer
+    /// sweep per label computes every window in `O(num_pairs)`. A negative
+    /// `lambda` covers nothing and yields empty windows.
+    pub fn fixed_pair_windows(&self, lambda: i64) -> Vec<(u32, u32)> {
+        if lambda < 0 {
+            return vec![(0, 0); self.num_pairs];
+        }
+        let mut lo = vec![0usize; self.num_labels()];
+        let mut hi = vec![0usize; self.num_labels()];
+        let mut windows = Vec::with_capacity(self.num_pairs);
+        for p in &self.posts {
+            let t = p.value();
+            let (from, to) = (t.saturating_sub(lambda), t.saturating_add(lambda));
+            for &a in p.labels() {
+                let (vals, lo, hi) = (
+                    &self.posting_values[a.index()],
+                    &mut lo[a.index()],
+                    &mut hi[a.index()],
+                );
+                // The post itself sits in LP(a) with from <= t <= to, so `lo`
+                // stops at or before it and `hi` moves past it.
+                while vals[*lo] < from {
+                    *lo += 1;
+                }
+                while *hi < vals.len() && vals[*hi] <= to {
+                    *hi += 1;
+                }
+                windows.push((*lo as u32, *hi as u32));
+            }
+        }
+        windows
     }
 
     /// Restricts the instance to posts whose value lies in
@@ -211,7 +260,7 @@ impl Instance {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn inst() -> Instance {
@@ -286,6 +335,80 @@ mod tests {
         assert_eq!(i.window(41, 50), 4..4);
         assert_eq!(i.posting_window(LabelId(0), 10, 30), 0..2);
         assert_eq!(i.posting_window(LabelId(0), 35, 100), 2..3);
+    }
+
+    /// A seeded instance whose values cluster (so windows overlap) and
+    /// include the `i64` extremes (so window bounds saturate).
+    pub(crate) fn random_instance(seed: u64) -> Instance {
+        use mqd_rng::{RngExt, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let labels = rng.random_range(1..5usize);
+        let n = rng.random_range(0..60usize);
+        let items: Vec<(i64, Vec<u16>)> = (0..n)
+            .map(|_| {
+                let v = match rng.random_range(0..10u32) {
+                    0 => i64::MIN + rng.random_range(0..3i64),
+                    1 => i64::MAX - rng.random_range(0..3i64),
+                    _ => rng.random_range(-200..200i64),
+                };
+                let k = rng.random_range(1..=labels);
+                (
+                    v,
+                    (0..k).map(|_| rng.random_range(0..labels as u16)).collect(),
+                )
+            })
+            .collect();
+        Instance::from_values(items, labels).unwrap()
+    }
+
+    fn assert_posting_values_aligned(i: &Instance) {
+        for a in 0..i.num_labels() as u16 {
+            let a = LabelId(a);
+            assert_eq!(i.posting_values(a).len(), i.postings(a).len());
+            for (j, &p) in i.postings(a).iter().enumerate() {
+                assert_eq!(i.posting_values(a)[j], i.value(p), "label {a:?} slot {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn posting_values_align_with_postings() {
+        for seed in 0..40 {
+            let i = random_instance(seed);
+            assert_posting_values_aligned(&i);
+            assert_posting_values_aligned(&i.slice(-100, i64::MAX));
+            assert_posting_values_aligned(&i.slice(i64::MIN, 50));
+        }
+        assert_posting_values_aligned(&inst().slice(15, 35));
+    }
+
+    #[test]
+    fn fixed_pair_windows_match_posting_window() {
+        for seed in 0..40 {
+            let i = random_instance(seed);
+            for lambda in [-1, 0, 1, 7, 150, i64::MAX / 2, i64::MAX] {
+                let windows = i.fixed_pair_windows(lambda);
+                assert_eq!(windows.len(), i.num_pairs());
+                for p in 0..i.len() as u32 {
+                    let t = i.value(p);
+                    for &a in i.labels(p) {
+                        let id = i.pair_id(p, a).unwrap() as usize;
+                        let (lo, hi) = windows[id];
+                        if lambda < 0 {
+                            assert_eq!(lo, hi, "seed {seed}: negative lambda covers nothing");
+                            continue;
+                        }
+                        let w =
+                            i.posting_window(a, t.saturating_sub(lambda), t.saturating_add(lambda));
+                        assert_eq!(
+                            (lo as usize, hi as usize),
+                            (w.start, w.end),
+                            "seed {seed} lambda {lambda} post {p} label {a:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

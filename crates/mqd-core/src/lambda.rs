@@ -83,13 +83,11 @@ impl VariableLambda {
     pub fn compute(inst: &Instance, lambda0: i64) -> Self {
         assert!(lambda0 >= 0, "lambda0 must be non-negative");
         let n = inst.len();
-        let mut per_pair = vec![lambda0; inst.num_pairs()];
-        let mut max_lambda = lambda0;
-        if n == 0 || inst.num_pairs() == 0 {
+        if n == 0 {
             return VariableLambda {
                 lambda0,
-                per_pair,
-                max_lambda,
+                per_pair: Vec::new(),
+                max_lambda: lambda0,
             };
         }
 
@@ -102,21 +100,19 @@ impl VariableLambda {
         // unchanged).
         let expected_in_window = (avg_label_rate * 2.0 * lambda0 as f64).max(f64::MIN_POSITIVE);
 
-        for post in 0..n as u32 {
-            let t = inst.value(post);
-            for &a in inst.labels(post) {
-                let w =
-                    inst.posting_window(a, t.saturating_sub(lambda0), t.saturating_add(lambda0));
-                let ratio = w.len() as f64 / expected_in_window;
+        // density_a around each post is the width of its fixed-lambda0
+        // window into LP(a): one two-pointer sweep per label, O(num_pairs).
+        let max_lam = saturating_e_times(lambda0);
+        let per_pair: Vec<i64> = inst
+            .fixed_pair_windows(lambda0)
+            .into_iter()
+            .map(|(lo, hi)| {
+                let ratio = (hi - lo) as f64 / expected_in_window;
                 let lam = (lambda0 as f64 * (1.0 - ratio).exp()).round() as i64;
-                let lam = lam.clamp(0, saturating_e_times(lambda0));
-                let id = inst
-                    .pair_id(post, a)
-                    .expect("labels(post) iterates real pairs");
-                per_pair[id as usize] = lam;
-                max_lambda = max_lambda.max(lam);
-            }
-        }
+                lam.clamp(0, max_lam)
+            })
+            .collect();
+        let max_lambda = per_pair.iter().copied().fold(lambda0, i64::max);
         VariableLambda {
             lambda0,
             per_pair,
@@ -266,6 +262,47 @@ mod tests {
                     .any(|&z| inst.post(z).has_label(LabelId(a)))
             };
             assert!(has(0) && has(1), "{} must pick both labels", sol.algorithm);
+        }
+    }
+
+    /// Equation 2 evaluated the direct way: one `posting_window` search
+    /// per occurrence. Returns `(per_pair, max_lambda)`.
+    fn per_occurrence_reference(inst: &Instance, lambda0: i64) -> (Vec<i64>, i64) {
+        let mut per_pair = vec![lambda0; inst.num_pairs()];
+        let mut max_lambda = lambda0;
+        let n = inst.len();
+        if n == 0 {
+            return (per_pair, max_lambda);
+        }
+        let span = ((inst.value(n as u32 - 1) as i128 - inst.value(0) as i128).max(1)) as f64;
+        let avg_label_rate = inst.num_pairs() as f64 / (inst.num_labels().max(1) as f64 * span);
+        let expected_in_window = (avg_label_rate * 2.0 * lambda0 as f64).max(f64::MIN_POSITIVE);
+        for post in 0..n as u32 {
+            let t = inst.value(post);
+            for &a in inst.labels(post) {
+                let w =
+                    inst.posting_window(a, t.saturating_sub(lambda0), t.saturating_add(lambda0));
+                let ratio = w.len() as f64 / expected_in_window;
+                let lam = (lambda0 as f64 * (1.0 - ratio).exp()).round() as i64;
+                let lam = lam.clamp(0, saturating_e_times(lambda0));
+                per_pair[inst.pair_id(post, a).unwrap() as usize] = lam;
+                max_lambda = max_lambda.max(lam);
+            }
+        }
+        (per_pair, max_lambda)
+    }
+
+    #[test]
+    fn sweep_matches_per_occurrence_reference() {
+        use crate::instance::tests::random_instance;
+        for seed in 0..60 {
+            let inst = random_instance(seed);
+            for lambda0 in [0, 1, 5, 60, 400, i64::MAX / 3, i64::MAX] {
+                let v = VariableLambda::compute(&inst, lambda0);
+                let (per_pair, max_lambda) = per_occurrence_reference(&inst, lambda0);
+                assert_eq!(v.per_pair(), &per_pair[..], "seed {seed} lambda0 {lambda0}");
+                assert_eq!(v.max_lambda(), max_lambda, "seed {seed} lambda0 {lambda0}");
+            }
         }
     }
 

@@ -28,8 +28,8 @@
 //! shared bug cannot self-certify.
 
 use mqd_core::algorithms::{
-    solve_brute, solve_greedy_sc, solve_greedy_sc_naive, solve_greedy_sc_scan_max,
-    solve_greedy_sc_threads, solve_opt, solve_scan, solve_scan_plus, LabelOrder, OptConfig,
+    solve_brute, solve_greedy_sc, solve_greedy_sc_naive, solve_greedy_sc_scan_max, solve_opt,
+    solve_scan, solve_scan_plus, LabelOrder, OptConfig,
 };
 use mqd_core::record::Record;
 use mqd_core::{coverage, FixedLambda, Instance, LambdaProvider, MqdError, VariableLambda};
@@ -178,11 +178,10 @@ impl Checker {
         let max_opt: usize = optima.iter().copied().max().unwrap_or(0);
         let s = inst.max_labels_per_post().max(1);
 
-        // Greedy family: the lazy heap, the scan-max variant, the naive
-        // reference, and every thread count are one algorithm.
-        let greedy = solve_greedy_sc_threads(1, inst, fixed);
+        // Greedy family: the lazy heap, the scan-max variant and the naive
+        // reference are one algorithm.
+        let greedy = solve_greedy_sc(inst, fixed);
         for (name, other) in [
-            ("greedy-threads-4", solve_greedy_sc_threads(4, inst, fixed)),
             ("greedy-scan-max", solve_greedy_sc_scan_max(inst, fixed)),
             ("greedy-naive", solve_greedy_sc_naive(inst, fixed)),
         ] {
@@ -354,7 +353,7 @@ impl Checker {
         let optima = ref_label_optima(inst, &var);
         let sum_opt: usize = optima.iter().sum();
 
-        let greedy = solve_greedy_sc_threads(1, inst, &var);
+        let greedy = solve_greedy_sc(inst, &var);
         let scan = solve_scan(inst, &var);
         let plus = solve_scan_plus(inst, &var, LabelOrder::Input);
         for (who, sel) in [
@@ -404,7 +403,7 @@ impl Checker {
             let pairs: [(&str, Vec<u32>, Vec<u32>); 3] = [
                 (
                     "GreedySC",
-                    solve_greedy_sc_threads(1, inst, &fixed).selected,
+                    solve_greedy_sc(inst, &fixed).selected,
                     greedy.selected.clone(),
                 ),
                 (
@@ -523,7 +522,7 @@ impl Checker {
                 format!("batch digests differ at {threads} threads: {par:?} vs {seq:?}")
             })?;
         }
-        let direct = solve_greedy_sc_threads(1, inst, &FixedLambda(case.lambda));
+        let direct = solve_greedy_sc(inst, &FixedLambda(case.lambda));
         self.ensure(
             seq[0] == direct.selected,
             "batch-all-labels-is-greedy",

@@ -14,9 +14,7 @@
 //! concatenation change densities, reflection changes window asymmetries),
 //! which is itself covered by the grid profile's degeneration invariant.
 
-use mqd_core::algorithms::{
-    solve_brute, solve_greedy_sc_threads, solve_scan, solve_scan_plus, LabelOrder,
-};
+use mqd_core::algorithms::{solve_brute, solve_greedy_sc, solve_scan, solve_scan_plus, LabelOrder};
 use mqd_core::FixedLambda;
 
 use crate::generate::Case;
@@ -114,7 +112,7 @@ fn outputs_cover(case: &Case, tag: &str, checks: &mut u64) -> Result<(), Failure
     let inst = case.instance();
     let fixed = FixedLambda(case.lambda);
     for sol in [
-        solve_greedy_sc_threads(1, &inst, &fixed),
+        solve_greedy_sc(&inst, &fixed),
         solve_scan(&inst, &fixed),
         solve_scan_plus(&inst, &fixed, LabelOrder::Input),
     ] {
@@ -143,7 +141,7 @@ pub fn check(case: &Case) -> Result<u64, Failure> {
     let inst = case.instance();
     let fixed = FixedLambda(case.lambda);
     let base_brute = brute_size(case)?;
-    let base_greedy = solve_greedy_sc_threads(1, &inst, &fixed);
+    let base_greedy = solve_greedy_sc(&inst, &fixed);
     let base_scan = solve_scan(&inst, &fixed);
     let base_plus = solve_scan_plus(&inst, &fixed, LabelOrder::Input);
 
@@ -159,7 +157,7 @@ pub fn check(case: &Case) -> Result<u64, Failure> {
             ("Scan+", &base_plus),
         ] {
             let got = match who {
-                "GreedySC" => solve_greedy_sc_threads(1, &ti, &fixed),
+                "GreedySC" => solve_greedy_sc(&ti, &fixed),
                 "Scan" => solve_scan(&ti, &fixed),
                 _ => solve_scan_plus(&ti, &fixed, LabelOrder::Input),
             };
@@ -215,7 +213,7 @@ pub fn check(case: &Case) -> Result<u64, Failure> {
             (
                 "GreedySC",
                 &base_greedy.selected,
-                solve_greedy_sc_threads(1, &pi, &fixed).selected,
+                solve_greedy_sc(&pi, &fixed).selected,
             ),
             (
                 "Scan",

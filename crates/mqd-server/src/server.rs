@@ -204,6 +204,12 @@ impl Server {
         self.state.addr
     }
 
+    /// The worker count the pool runs with, after the floor (what STATS
+    /// reports as `"threads"`).
+    pub fn threads(&self) -> usize {
+        self.state.threads
+    }
+
     /// Serves until drained: the acceptor feeds a bounded channel, workers
     /// drain it, and a full channel is answered with a typed `-OVERLOADED`
     /// response — admission control, not a dropped connection. Returns once

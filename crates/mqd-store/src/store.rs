@@ -276,11 +276,6 @@ impl Store {
         let mut label_map: Vec<u16> = labels.to_vec();
         label_map.sort_unstable();
         label_map.dedup();
-        let local_of: HashMap<u16, u16> = label_map
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u16))
-            .collect();
 
         let mut posts = Vec::new();
         for seg in &self.segments {
@@ -301,10 +296,13 @@ impl Store {
                 if row.value < from || row.value > to {
                     continue;
                 }
+                // label_map holds the few query labels, sorted: its binary
+                // search is the global -> local id map.
                 let locals: Vec<LabelId> = row
                     .labels
                     .iter()
-                    .filter_map(|l| local_of.get(l).map(|&i| LabelId(i)))
+                    .filter_map(|l| label_map.binary_search(l).ok())
+                    .map(|i| LabelId(i as u16))
                     .collect();
                 posts.push(Post::new(PostId(row.id), row.value, locals));
             }

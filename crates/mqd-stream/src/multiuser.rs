@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use mqd_core::algorithms::solve_greedy_sc_threads;
+use mqd_core::algorithms::solve_greedy_sc;
 use mqd_core::{FixedLambda, Instance, LabelId, Post, PostId};
 
 /// Per-user delivery statistics.
@@ -161,7 +161,7 @@ pub fn solve_batch_users_threads(
 }
 
 /// Builds the user's label-filtered sub-instance and solves it with the
-/// sequential GreedySC (workers must not nest parallelism).
+/// GreedySC, which is sequential, so workers never nest parallelism.
 fn solve_one_user(inst: &Instance, user: &BatchUser) -> Vec<u32> {
     let mut subscribed = user.labels.clone();
     subscribed.sort_unstable();
@@ -192,7 +192,7 @@ fn solve_one_user(inst: &Instance, user: &BatchUser) -> Vec<u32> {
     let sub = Instance::from_posts(posts, subscribed.len())
         // lint:allow(panic-path): the remap above assigns ids 0..subscribed.len(), so density holds by construction
         .expect("local labels are dense by construction");
-    let sol = solve_greedy_sc_threads(1, &sub, &FixedLambda(user.lambda));
+    let sol = solve_greedy_sc(&sub, &FixedLambda(user.lambda));
     let mut out: Vec<u32> = sol
         .selected
         .iter()

@@ -3,13 +3,12 @@
 //! any thread count, on realistic datagen streams. These are the
 //! determinism guarantees DESIGN.md's "Threading model" section promises.
 
-use mqd_core::algorithms::solve_greedy_sc_threads;
 use mqd_core::{coverage, FixedLambda, Instance};
 use mqd_datagen::{generate_labeled_posts, LabeledStreamConfig, MINUTE_MS};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
 use mqd_stream::{
-    run_sharded_reference, run_sharded_stream, solve_batch_users_threads, BatchUser,
-    ShardEngineKind,
+    run_sharded_reference, run_sharded_stream, solve_batch_users, solve_batch_users_threads,
+    BatchUser, ShardEngineKind,
 };
 
 const THREAD_COUNTS: &[usize] = &[1, 2, 8];
@@ -27,23 +26,6 @@ fn stream_instance(seed: u64, num_labels: usize, minutes: i64, skew: f64) -> Ins
         seed,
     });
     Instance::from_posts(posts, num_labels).expect("datagen stream is well-formed")
-}
-
-#[test]
-fn greedy_sc_identical_across_thread_counts() {
-    for (seed, labels, skew) in [(11, 3, 0.0), (12, 6, 0.8), (13, 10, 1.5)] {
-        let inst = stream_instance(seed, labels, 4, skew);
-        let f = FixedLambda(5_000);
-        let base = solve_greedy_sc_threads(1, &inst, &f);
-        assert!(coverage::is_cover(&inst, &f, &base.selected), "seed {seed}");
-        for &t in THREAD_COUNTS {
-            let sol = solve_greedy_sc_threads(t, &inst, &f);
-            assert_eq!(
-                sol.selected, base.selected,
-                "GreedySC diverged: seed {seed}, {t} threads"
-            );
-        }
-    }
 }
 
 #[test]
@@ -120,11 +102,31 @@ fn global_thread_config_does_not_change_results() {
     // pinning the global override must never change any answer.
     let inst = stream_instance(51, 5, 2, 0.0);
     let f = FixedLambda(5_000);
-    let base = solve_greedy_sc_threads(1, &inst, &f);
+    let selected: Vec<u32> = (0..inst.len() as u32).step_by(4).collect();
+    let users = [
+        BatchUser {
+            labels: vec![0, 3],
+            lambda: 4_000,
+        },
+        BatchUser {
+            labels: vec![1, 2, 4],
+            lambda: 9_000,
+        },
+    ];
+    let base_violations = coverage::violations_threads(1, &inst, &f, &selected);
+    let base_digests = solve_batch_users_threads(1, &inst, &users);
     for n in [1usize, 3] {
         mqd_par::set_threads(Some(n));
-        let sol = mqd_core::algorithms::solve_greedy_sc(&inst, &f);
-        assert_eq!(sol.selected, base.selected, "override {n}");
+        assert_eq!(
+            coverage::violations(&inst, &f, &selected),
+            base_violations,
+            "violations, override {n}"
+        );
+        assert_eq!(
+            solve_batch_users(&inst, &users),
+            base_digests,
+            "batch digests, override {n}"
+        );
     }
     mqd_par::set_threads(None);
 }
