@@ -112,6 +112,13 @@ pub fn route(mut out: impl Write, log: &mut impl Write, opts: &RouteOpts) -> Res
     out.flush().map_err(|e| e.to_string())?;
     writeln!(
         log,
+        "routing with {} worker thread(s), queue bound {}",
+        router.threads(),
+        opts.max_queue
+    )
+    .map_err(|e| e.to_string())?;
+    writeln!(
+        log,
         "routing {} shard(s) over {} backend(s): {}",
         opts.shards,
         opts.backends.len(),

@@ -185,14 +185,27 @@ fn ingest_query_store_workflow() {
     let _ = fs::remove_dir_all(&store);
 }
 
-/// The `serve` start-up line reports the worker count the pool really runs
-/// with — the number STATS carries as `"threads"` — also when the requested
-/// count is below the pool's floor.
+/// The `serve` and `route` start-up lines report the worker count the pool
+/// really runs with — the number STATS carries as `"threads"` — also when
+/// the requested count is below the pool's floor.
 #[test]
 fn serve_startup_line_matches_stats_threads() {
-    for threads in [None, Some("1"), Some("6")] {
+    // `route` sizes its pool through the same connection runtime; its
+    // backend is unreachable on purpose (backends are dialed lazily, and
+    // STATS and DRAIN both tolerate a dead one).
+    let fronts: [(&[&str], &str); 2] = [
+        (&["serve"], "serving with "),
+        (
+            &["route", "--backends", "127.0.0.1:1", "--shards", "1"],
+            "routing with ",
+        ),
+    ];
+    for ((front, prefix), threads) in fronts
+        .iter()
+        .flat_map(|f| [None, Some("1"), Some("6")].map(|t| (f, t)))
+    {
         let mut cmd = mqdiv();
-        cmd.args(["serve", "--addr", "127.0.0.1:0"]);
+        cmd.args(*front).args(["--addr", "127.0.0.1:0"]);
         if let Some(n) = threads {
             cmd.args(["--threads", n]);
         }
@@ -216,7 +229,7 @@ fn serve_startup_line_matches_stats_threads() {
         let mut startup = String::new();
         log.read_line(&mut startup).unwrap();
         let logged: usize = startup
-            .strip_prefix("serving with ")
+            .strip_prefix(*prefix)
             .and_then(|rest| rest.split(' ').next())
             .and_then(|n| n.parse().ok())
             .unwrap_or_else(|| panic!("unexpected start-up line: {startup:?}"));
@@ -243,7 +256,10 @@ fn serve_startup_line_matches_stats_threads() {
             .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
             .and_then(|n| n.parse().ok())
             .unwrap_or_else(|| panic!("no threads field in STATS: {text}"));
-        assert_eq!(logged, stats_threads, "--threads {threads:?}: {startup:?}");
+        assert_eq!(
+            logged, stats_threads,
+            "{front:?} --threads {threads:?}: {startup:?}"
+        );
         assert!(child.wait().unwrap().success());
     }
 }

@@ -21,9 +21,7 @@ use mqd_core::wire::{shard_of_label, ShardIdentity, MAX_SHARD_COUNT};
 use mqd_core::MqdError;
 use mqd_server::{Client, Response};
 
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
-}
+use crate::perr;
 
 /// The validated cluster shape: the ordered backend addresses and the
 /// shard count they are partitioned into.

@@ -35,12 +35,24 @@
 //! Every `QUERY` response is stamped with the vector of per-shard
 //! generation watermarks the router has routed, so a client can tell
 //! exactly which ingest prefix an answer reflects.
+//!
+//! The router owns no connection runtime of its own: [`Router`] is an
+//! implementation of [`mqd_server::conn::Service`], whose per-connection
+//! session is a [`BackendPool`]. Admission, idle timeouts, request
+//! framing, the panic backstop and the drain are the server's code.
 
 #![warn(missing_docs)]
 
 mod backend;
 mod merge;
 mod router;
+
+use mqd_core::MqdError;
+
+/// A typed `Protocol` error, the kind every router-side rejection takes.
+fn perr(msg: impl Into<String>) -> MqdError {
+    MqdError::Protocol { msg: msg.into() }
+}
 
 pub use backend::{BackendPool, Topology};
 pub use merge::{merge_rows, solve_merged};

@@ -14,9 +14,7 @@ use mqd_core::record::{format_tsv, parse_tsv_line, Record};
 use mqd_core::MqdError;
 use mqd_store::{run_query, QuerySpec, Store};
 
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
-}
+use crate::perr;
 
 /// Parses one shard payload line back into a [`Record`], rejecting blank
 /// or comment lines (a backend never emits them; seeing one means the

@@ -1,32 +1,25 @@
-//! The router runtime: frontend acceptor/worker pool, per-verb routing,
-//! scatter-gather execution, and the `SUBSCRIBE` failover relay.
+//! The router service: per-verb routing, scatter-gather execution, and
+//! the `SUBSCRIBE` failover relay, behind the connection runtime it shares
+//! with the single-node server ([`mqd_server::conn`]).
 
 use std::collections::BTreeSet;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::io::Write;
+use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
+use std::sync::Mutex;
 use std::time::Duration;
 
-use mqd_core::record::{decode_records, Record};
+use mqd_core::record::Record;
 use mqd_core::MqdError;
-use mqd_server::lineio::{idle_ticks_for, BodyEvent, LineEvent, LineReader, READ_TICK};
-use mqd_server::protocol::{
-    parse_request, write_err, write_ok, write_overloaded, Request, SubscribeSpec, MAX_BATCH_ROWS,
-    MAX_LINE_BYTES, TERMINATOR,
-};
+use mqd_server::conn::{self, Core, Flow, Service};
+use mqd_server::protocol::{decode_batch, write_ok, Request, SubscribeSpec, TERMINATOR};
 use mqd_server::{format_query, Client, Response};
 use mqd_store::{repairable, QuerySpec};
 use mqd_stream::ShardEngineKind;
 
 use crate::backend::{BackendPool, Topology};
 use crate::merge::{merge_rows, solve_merged};
-
-fn perr(msg: impl Into<String>) -> MqdError {
-    MqdError::Protocol { msg: msg.into() }
-}
+use crate::perr;
 
 /// Router settings, as exposed by `mqdiv route`.
 #[derive(Clone, Debug)]
@@ -38,9 +31,8 @@ pub struct RouterConfig {
     pub backends: Vec<String>,
     /// Number of label shards the cluster is partitioned into.
     pub shards: u32,
-    /// Worker threads; 0 sizes off [`mqd_par::configured_threads`],
-    /// floored at 4 (same reasoning as the server: handlers block on
-    /// backend I/O, not CPU).
+    /// Worker threads; 0 sizes the pool as the server does
+    /// ([`Core::bind`]: handlers block on backend I/O, not CPU).
     pub threads: usize,
     /// Admission queue depth, as on the server.
     pub max_queue: usize,
@@ -62,17 +54,6 @@ impl Default for RouterConfig {
             idle_timeout: None,
         }
     }
-}
-
-#[derive(Default)]
-struct Served {
-    connections: AtomicU64,
-    queries: AtomicU64,
-    ingested_rows: AtomicU64,
-    subscribes: AtomicU64,
-    errors: AtomicU64,
-    overloads: AtomicU64,
-    timeouts: AtomicU64,
 }
 
 /// The router's exact corpus ledger. The router is the cluster's single
@@ -104,23 +85,13 @@ impl Ledger {
     }
 }
 
-struct RouterState {
-    topo: Topology,
-    ledger: Mutex<Ledger>,
-    served: Served,
-    draining: AtomicBool,
-    addr: SocketAddr,
-    threads: usize,
-    /// Idle budget in `READ_TICK`s for every frontend connection's reads.
-    idle_ticks: Option<u32>,
-}
-
 /// A bound, ready-to-run router. [`Router::run`] blocks until a `DRAIN`
 /// request shuts it down (after forwarding the drain to every backend).
 pub struct Router {
-    listener: TcpListener,
-    state: Arc<RouterState>,
-    max_queue: usize,
+    /// Listener, pool sizing, drain flag and serving counters.
+    core: Core,
+    topo: Topology,
+    ledger: Mutex<Ledger>,
 }
 
 impl Router {
@@ -129,188 +100,107 @@ impl Router {
     /// backends are still starting.
     pub fn bind(cfg: &RouterConfig) -> Result<Self, MqdError> {
         let topo = Topology::new(cfg.backends.clone(), cfg.shards)?;
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let threads = if cfg.threads == 0 {
-            mqd_par::configured_threads().max(4)
-        } else {
-            cfg.threads
-        };
+        let core = Core::bind(&cfg.addr, cfg.threads, cfg.max_queue, cfg.idle_timeout)?;
         let shard_count = topo.shard_count() as usize;
         Ok(Router {
-            listener,
-            state: Arc::new(RouterState {
-                topo,
-                ledger: Mutex::new(Ledger {
-                    rows: 0,
-                    labels: BTreeSet::new(),
-                    min_value: None,
-                    max_value: None,
-                    watermarks: vec![0; shard_count],
-                }),
-                served: Served::default(),
-                draining: AtomicBool::new(false),
-                addr,
-                threads,
-                idle_ticks: idle_ticks_for(cfg.idle_timeout),
+            core,
+            topo,
+            ledger: Mutex::new(Ledger {
+                rows: 0,
+                labels: BTreeSet::new(),
+                min_value: None,
+                max_value: None,
+                watermarks: vec![0; shard_count],
             }),
-            max_queue: cfg.max_queue.max(1),
         })
     }
 
     /// The bound frontend address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.core.local_addr()
     }
 
-    /// Serves until drained — the same acceptor/bounded-queue/worker-pool
-    /// shape as `mqd-server`, minus the store.
+    /// The worker count the pool runs with, after the floor (what STATS
+    /// reports as `"threads"`).
+    pub fn threads(&self) -> usize {
+        self.core.threads()
+    }
+
+    /// Serves until drained, on the same connection runtime as
+    /// `mqd-server` ([`conn::run`]).
     pub fn run(self) -> Result<(), MqdError> {
-        let (tx, rx) = sync_channel::<TcpStream>(self.max_queue);
-        let rx = Arc::new(Mutex::new(rx));
-        let state = self.state;
-        std::thread::scope(|s| {
-            for _ in 0..state.threads {
-                let rx = Arc::clone(&rx);
-                let st = Arc::clone(&state);
-                s.spawn(move || worker_loop(&rx, &st));
-            }
-            for conn in self.listener.incoming() {
-                if state.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(conn) = conn else { continue };
-                state.served.connections.fetch_add(1, Ordering::Relaxed);
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(conn)) => {
-                        state.served.overloads.fetch_add(1, Ordering::Relaxed);
-                        let mut w = BufWriter::new(conn);
-                        let _ = write_overloaded(&mut w, "router at capacity, retry later");
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            drop(tx);
-        });
+        conn::run(&self);
         Ok(())
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &RouterState) {
-    loop {
-        let conn = {
-            // A poisoned receiver mutex means a sibling worker panicked
-            // mid-recv; the pool is already compromised, so this worker
-            // retires instead of panicking too.
-            let Ok(guard) = rx.lock() else { return };
-            // lint:allow(blocking-call,guard-held-blocking): bounded by the acceptor — dropping the sender disconnects recv with Err; the lock exists only to serialize waiters on this recv
-            guard.recv()
-        };
-        match conn {
-            Ok(c) => {
-                let _ = handle_conn(c, state);
-            }
-            Err(_) => return, // acceptor dropped the sender: drain complete
-        }
+impl Service for Router {
+    type Session<'s> = BackendPool<'s>;
+
+    const OVERLOADED: &'static str = "router at capacity, retry later";
+
+    fn core(&self) -> &Core {
+        &self.core
     }
-}
 
-enum Flow {
-    Continue,
-    Close,
-}
+    fn session(&self) -> BackendPool<'_> {
+        BackendPool::new(&self.topo)
+    }
 
-fn handle_conn(conn: TcpStream, state: &RouterState) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(READ_TICK))?;
-    let _ = conn.set_nodelay(true);
-    let write_half = conn.try_clone()?;
-    let mut reader = LineReader::new(BufReader::new(conn));
-    reader.set_idle_ticks(state.idle_ticks);
-    let mut w = BufWriter::new(write_half);
-    let mut pool = BackendPool::new(&state.topo);
-
-    loop {
-        let line = match reader.next_line(&state.draining)? {
-            LineEvent::Line(line) => line,
-            LineEvent::Eof | LineEvent::Drained => return Ok(()),
-            LineEvent::IdleTimeout => {
-                state.served.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Timeout {
-                        msg: "request line stalled; closing idle connection".into(),
-                    },
-                );
-                return Ok(());
+    fn execute<W: Write>(
+        &self,
+        pool: &mut BackendPool<'_>,
+        req: &Request,
+        body: Option<&[u8]>,
+        w: &mut W,
+    ) -> std::io::Result<Flow> {
+        let counters = &self.core.counters;
+        match req {
+            Request::Ping => write_ok(w, r#"{"pong":true}"#, &[])?,
+            Request::Stats => match cluster_stats(self, pool) {
+                Ok(json) => write_ok(w, &json, &[])?,
+                Err(e) => counters.fail(w, &e)?,
+            },
+            Request::Ingest(row) => route_ingest(self, pool, std::slice::from_ref(row), w)?,
+            Request::IngestBatch { .. } => match body
+                .ok_or_else(|| perr("batch body missing for INGESTB"))
+                .and_then(decode_batch)
+            {
+                Ok(rows) => route_ingest(self, pool, &rows, w)?,
+                Err(e) => counters.fail(w, &e)?,
+            },
+            Request::Query(spec) => {
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                route_query(self, pool, spec, w)?;
             }
-            LineEvent::Oversized => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &perr(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
-                );
-                reader.drain_peer();
-                return Ok(());
+            // Backend-internal verbs: accepting them at the frontend would
+            // let a client bypass the shard map the router exists to
+            // enforce.
+            Request::QueryCover { .. } | Request::Slice { .. } | Request::Hello { .. } => {
+                let msg =
+                    "COVER/SLICE/HELLO are backend verbs; the router serves client verbs only";
+                counters.fail(w, &perr(msg))?;
             }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match parse_request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(&mut w, &e)?;
-                continue;
+            Request::Subscribe(spec) => {
+                counters.subscribes.fetch_add(1, Ordering::Relaxed);
+                route_subscribe(self, pool, spec, w)?;
             }
-        };
-
-        // Framed bodies are consumed before dispatch so the stream stays
-        // line-synced even for requests the router then rejects (HELLO is
-        // a backend-only verb, but its body still has to leave the pipe).
-        let body = match req {
-            Request::IngestBatch { bytes } | Request::Hello { bytes } => {
-                match reader.read_exact_body(bytes, &state.draining)? {
-                    BodyEvent::Body(body) => Some(body),
-                    BodyEvent::Truncated(got) => {
-                        state.served.errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &perr(format!("truncated body: got {got} of {bytes} bytes")),
-                        );
-                        reader.drain_peer();
-                        return Ok(());
+            // Drain the backends (best-effort: a dead backend is already
+            // drained for our purposes) before acknowledging.
+            Request::Drain => {
+                return self.core.drain(w, || {
+                    for idx in 0..self.topo.backends().len() {
+                        let _ = pool.session(idx).and_then(|c| c.request("DRAIN"));
+                        pool.drop_session(idx);
                     }
-                    BodyEvent::IdleTimeout(got) => {
-                        state.served.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &MqdError::Timeout {
-                                msg: format!("body stalled at {got} of {bytes} bytes"),
-                            },
-                        );
-                        return Ok(());
-                    }
-                }
+                });
             }
-            _ => None,
-        };
-
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(state, &mut pool, &req, body.as_deref(), &mut w)
-        }));
-        match outcome {
-            Ok(Ok(Flow::Continue)) => {}
-            Ok(Ok(Flow::Close)) => return Ok(()),
-            Ok(Err(io)) => return Err(io),
-            Err(_) => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(&mut w, &perr("internal error (request handler panicked)"));
-                reader.drain_peer();
-                return Ok(());
+            Request::Quit => {
+                write_ok(w, r#"{"bye":true}"#, &[])?;
+                return Ok(Flow::Close);
             }
         }
+        Ok(Flow::Continue)
     }
 }
 
@@ -324,113 +214,20 @@ fn relay(w: &mut impl Write, resp: &Response) -> std::io::Result<()> {
     w.flush()
 }
 
-fn execute(
-    state: &RouterState,
-    pool: &mut BackendPool,
-    req: &Request,
-    body: Option<&[u8]>,
-    w: &mut impl Write,
-) -> std::io::Result<Flow> {
-    match req {
-        Request::Ping => {
-            write_ok(w, r#"{"pong":true}"#, &[])?;
-            Ok(Flow::Continue)
-        }
-        Request::Stats => {
-            match cluster_stats(state, pool) {
-                Ok(json) => write_ok(w, &json, &[])?,
-                Err(e) => {
-                    state.served.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::Ingest(row) => {
-            route_ingest(state, pool, std::slice::from_ref(row), w)?;
-            Ok(Flow::Continue)
-        }
-        Request::IngestBatch { .. } => {
-            let Some(body) = body else {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(w, &perr("batch body missing for INGESTB"))?;
-                return Ok(Flow::Continue);
-            };
-            match decode_batch(body) {
-                Ok(rows) => route_ingest(state, pool, &rows, w)?,
-                Err(e) => {
-                    state.served.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::Query(spec) => {
-            state.served.queries.fetch_add(1, Ordering::Relaxed);
-            route_query(state, pool, spec, w)?;
-            Ok(Flow::Continue)
-        }
-        Request::QueryCover { .. } | Request::Slice { .. } | Request::Hello { .. } => {
-            // Backend-internal verbs: accepting them at the frontend would
-            // let a client bypass the shard map the router exists to
-            // enforce.
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            write_err(
-                w,
-                &perr("COVER/SLICE/HELLO are backend verbs; the router serves client verbs only"),
-            )?;
-            Ok(Flow::Continue)
-        }
-        Request::Subscribe(spec) => {
-            state.served.subscribes.fetch_add(1, Ordering::Relaxed);
-            route_subscribe(state, pool, spec, w)?;
-            Ok(Flow::Continue)
-        }
-        Request::Drain => {
-            // Drain the backends first (best-effort: a dead backend is
-            // already drained for our purposes), then the router itself.
-            for idx in 0..state.topo.backends().len() {
-                let _ = pool.session(idx).and_then(|c| c.request("DRAIN"));
-                pool.drop_session(idx);
-            }
-            state.draining.store(true, Ordering::SeqCst);
-            write_ok(w, r#"{"draining":true}"#, &[])?;
-            // Kick the acceptor out of its blocking accept.
-            let _ = TcpStream::connect_timeout(&state.addr, Duration::from_millis(500));
-            Ok(Flow::Close)
-        }
-        Request::Quit => {
-            write_ok(w, r#"{"bye":true}"#, &[])?;
-            Ok(Flow::Close)
-        }
-    }
-}
-
-fn decode_batch(body: &[u8]) -> Result<Vec<Record>, MqdError> {
-    let rows = decode_records(body)?;
-    if rows.len() > MAX_BATCH_ROWS {
-        return Err(perr(format!(
-            "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
-            rows.len()
-        )));
-    }
-    Ok(rows)
-}
-
 /// Fans `rows` to every replica of every owning shard (order preserved —
 /// each backend sees the monotone subsequence of the feed its labels
 /// select) and answers with the single-node ingest acknowledgement shape,
 /// `generation` being the router's global row count.
 fn route_ingest(
-    state: &RouterState,
+    router: &Router,
     pool: &mut BackendPool,
     rows: &[Record],
     w: &mut impl Write,
 ) -> std::io::Result<()> {
-    let shard_count = state.topo.shard_count() as usize;
+    let shard_count = router.topo.shard_count() as usize;
     let mut per_shard: Vec<Vec<Record>> = vec![Vec::new(); shard_count];
     for row in rows {
-        for shard in state.topo.owning_shards(&row.labels) {
+        for shard in router.topo.owning_shards(&row.labels) {
             per_shard[shard as usize].push(row.clone());
         }
     }
@@ -446,28 +243,25 @@ fn route_ingest(
                 // it verbatim. Shards already written keep their prefix —
                 // the same stream-prefix semantics a single node has for a
                 // mid-batch failure.
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
+                router.core.counters.errors.fetch_add(1, Ordering::Relaxed);
                 return relay(w, &resp);
             }
             Err(e) => {
-                state.served.errors.fetch_add(1, Ordering::Relaxed);
-                return write_err(w, &e);
+                return router.core.counters.fail(w, &e);
             }
         }
     }
     let per_shard_counts: Vec<u64> = per_shard.iter().map(|p| p.len() as u64).collect();
-    let generation = match lock_ledger(state) {
+    let generation = match lock_ledger(router) {
         Ok(mut ledger) => {
             ledger.apply(rows, &per_shard_counts);
             ledger.rows
         }
-        Err(e) => {
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            return write_err(w, &e);
-        }
+        Err(e) => return router.core.counters.fail(w, &e),
     };
-    state
-        .served
+    router
+        .core
+        .counters
         .ingested_rows
         .fetch_add(rows.len() as u64, Ordering::Relaxed);
     write_ok(
@@ -477,8 +271,8 @@ fn route_ingest(
     )
 }
 
-fn lock_ledger(state: &RouterState) -> Result<std::sync::MutexGuard<'_, Ledger>, MqdError> {
-    state
+fn lock_ledger(router: &Router) -> Result<std::sync::MutexGuard<'_, Ledger>, MqdError> {
+    router
         .ledger
         .lock()
         .map_err(|_| MqdError::Poisoned { what: "ledger" })
@@ -486,8 +280,8 @@ fn lock_ledger(state: &RouterState) -> Result<std::sync::MutexGuard<'_, Ledger>,
 
 /// The vector watermark stamped into query responses: per shard, the
 /// generation its replicas reach once every routed row is applied.
-fn watermarks(state: &RouterState) -> Result<Vec<u64>, MqdError> {
-    Ok(lock_ledger(state)?.watermarks.clone())
+fn watermarks(router: &Router) -> Result<Vec<u64>, MqdError> {
+    Ok(lock_ledger(router)?.watermarks.clone())
 }
 
 /// Scatter-gathers one `QUERY`:
@@ -497,12 +291,12 @@ fn watermarks(state: &RouterState) -> Result<Vec<u64>, MqdError> {
 /// * anything else multi-shard — per-shard `SLICE`, dedup-merge, solve
 ///   locally over the reconstructed slice.
 fn route_query(
-    state: &RouterState,
+    router: &Router,
     pool: &mut BackendPool,
     spec: &QuerySpec,
     w: &mut impl Write,
 ) -> std::io::Result<()> {
-    let owning = state.topo.owning_shards(&spec.labels);
+    let owning = router.topo.owning_shards(&spec.labels);
     let gathered: Result<Result<Vec<String>, Response>, MqdError> = (|| {
         if owning.len() <= 1 {
             let shard = owning.first().copied().unwrap_or(0);
@@ -522,7 +316,7 @@ fn route_query(
                     .labels
                     .iter()
                     .copied()
-                    .filter(|&l| state.topo.owning_shards(&[l]) == [shard])
+                    .filter(|&l| router.topo.owning_shards(&[l]) == [shard])
                     .collect();
                 let cover: Vec<String> = owned.iter().map(|l| l.to_string()).collect();
                 let line = format!("{} COVER {}", format_query(spec), cover.join(","));
@@ -549,11 +343,10 @@ fn route_query(
     })();
     match gathered {
         Ok(Ok(rows)) => {
-            let stamped = match watermarks(state) {
+            let stamped = match watermarks(router) {
                 Ok(gens) => gens,
                 Err(e) => {
-                    state.served.errors.fetch_add(1, Ordering::Relaxed);
-                    return write_err(w, &e);
+                    return router.core.counters.fail(w, &e);
                 }
             };
             let gens: Vec<String> = stamped.iter().map(|g| g.to_string()).collect();
@@ -566,13 +359,10 @@ fn route_query(
             write_ok(w, &json, &rows)
         }
         Ok(Err(resp)) => {
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
+            router.core.counters.errors.fetch_add(1, Ordering::Relaxed);
             relay(w, &resp)
         }
-        Err(e) => {
-            state.served.errors.fetch_add(1, Ordering::Relaxed);
-            write_err(w, &e)
-        }
+        Err(e) => router.core.counters.fail(w, &e),
     }
 }
 
@@ -727,19 +517,20 @@ fn relay_stream(
 /// reissuing on a fresh replica with `AFTER (client's skip + relayed)`
 /// continues the stream with zero duplicated and zero missing emissions.
 fn route_subscribe(
-    state: &RouterState,
+    router: &Router,
     pool: &mut BackendPool,
     spec: &SubscribeSpec,
     w: &mut impl Write,
 ) -> std::io::Result<()> {
-    let owning = state.topo.owning_shards(&spec.labels);
+    let owning = router.topo.owning_shards(&spec.labels);
     let Some((&shard, rest)) = owning.split_first() else {
-        state.served.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(w, &perr("SUBSCRIBE needs at least one label"));
+        return router
+            .core
+            .counters
+            .fail(w, &perr("SUBSCRIBE needs at least one label"));
     };
     if !rest.is_empty() {
-        state.served.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(
+        return router.core.counters.fail(
             w,
             &perr(format!(
                 "SUBSCRIBE labels span shards {owning:?}; a session streams from one shard \
@@ -749,7 +540,7 @@ fn route_subscribe(
     }
     let mut relayed: u64 = 0;
     let mut header_sent = false;
-    for idx in state.topo.replicas(shard) {
+    for idx in router.topo.replicas(shard) {
         let line = subscribe_line(spec, spec.after + relayed);
         let end = match pool.session(idx) {
             Ok(client) => relay_stream(client, &line, &mut relayed, &mut header_sent, w)?,
@@ -760,17 +551,17 @@ fn route_subscribe(
             StreamEnd::Died => pool.drop_session(idx),
         }
     }
-    state.served.errors.fetch_add(1, Ordering::Relaxed);
     let reason = format!(
         "shard {shard}/{} has no live backend",
-        state.topo.shard_count()
+        router.topo.shard_count()
     );
     if header_sent {
+        router.core.counters.errors.fetch_add(1, Ordering::Relaxed);
         writeln!(w, "ABORT Protocol {reason}")?;
         writeln!(w, "{TERMINATOR}")?;
         w.flush()
     } else {
-        write_err(w, &perr(reason))
+        router.core.counters.fail(w, &perr(reason))
     }
 }
 
@@ -790,9 +581,9 @@ fn json_u64(status: &str, key: &str) -> Option<u64> {
 /// ledger (`segments` is a per-backend physical detail, reported as 0),
 /// the cluster map with per-backend liveness probes, and the router's own
 /// serving counters.
-fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, MqdError> {
+fn cluster_stats(router: &Router, pool: &mut BackendPool) -> Result<String, MqdError> {
     let (rows, label_count, min_value, max_value, marks) = {
-        let ledger = lock_ledger(state)?;
+        let ledger = lock_ledger(router)?;
         (
             ledger.rows,
             ledger.labels.len(),
@@ -803,8 +594,8 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
     };
     let opt_i64 = |v: Option<i64>| v.map_or("null".to_string(), |x| x.to_string());
     let mut backends = String::new();
-    for idx in 0..state.topo.backends().len() {
-        let shard = state.topo.identity_of(idx).shard_id;
+    for idx in 0..router.topo.backends().len() {
+        let shard = router.topo.identity_of(idx).shard_id;
         let generation = pool
             .session(idx)
             .and_then(|c| c.request("STATS"))
@@ -824,13 +615,12 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
         ));
     }
     let marks: Vec<String> = marks.iter().map(|m| m.to_string()).collect();
-    let s = &state.served;
     Ok(format!(
         concat!(
             r#"{{"rows":{},"segments":0,"labels":{},"generation":{},"#,
             r#""min_value":{},"max_value":{},"#,
             r#""cluster":{{"shards":{},"backends":[{}],"watermarks":[{}]}},"#,
-            r#""served":{{"connections":{},"queries":{},"ingested_rows":{},"subscribes":{},"errors":{},"overloads":{},"timeouts":{}}},"#,
+            "{},",
             r#""threads":{},"draining":{}}}"#
         ),
         rows,
@@ -838,18 +628,12 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
         rows,
         opt_i64(min_value),
         opt_i64(max_value),
-        state.topo.shard_count(),
+        router.topo.shard_count(),
         backends,
         marks.join(","),
-        s.connections.load(Ordering::Relaxed),
-        s.queries.load(Ordering::Relaxed),
-        s.ingested_rows.load(Ordering::Relaxed),
-        s.subscribes.load(Ordering::Relaxed),
-        s.errors.load(Ordering::Relaxed),
-        s.overloads.load(Ordering::Relaxed),
-        s.timeouts.load(Ordering::Relaxed),
-        state.threads,
-        state.draining.load(Ordering::SeqCst),
+        router.core.counters.render(),
+        router.core.threads(),
+        router.core.draining(),
     ))
 }
 
@@ -857,6 +641,7 @@ fn cluster_stats(state: &RouterState, pool: &mut BackendPool) -> Result<String, 
 mod tests {
     use super::*;
     use mqd_core::wire::ShardIdentity;
+    use mqd_server::protocol::parse_request;
     use mqd_server::{Server, ServerConfig};
 
     fn start_backend(shard: Option<ShardIdentity>) -> (SocketAddr, std::thread::JoinHandle<()>) {

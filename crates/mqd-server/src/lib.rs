@@ -16,6 +16,12 @@
 //! dropped connection, mirroring the graceful-degradation philosophy of the
 //! streaming supervisor.
 //!
+//! That runtime lives once, in [`conn`]: the acceptor, the admission
+//! queue, the worker pool, the framed request loop, the panic backstop and
+//! the drain. The single-node [`Server`] and the cluster router
+//! (`mqd-router`) are two implementations of its [`conn::Service`] trait,
+//! so both front ends share one copy of every connection-level behavior.
+//!
 //! The wire protocol ([`protocol`]) is line-oriented: one request line
 //! (plus a raw binary body for `INGESTB`), one response of a status line
 //! (`+OK <json>`, `-ERR <Kind> <msg>`, or `-OVERLOADED <msg>`), optional
@@ -26,7 +32,8 @@
 #![warn(missing_docs)]
 
 mod client;
-pub mod lineio;
+pub mod conn;
+mod lineio;
 pub mod protocol;
 mod server;
 pub mod subs;

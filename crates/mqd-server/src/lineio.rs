@@ -1,5 +1,5 @@
-//! Bounded, timeout-tolerant socket line reading, shared by the server's
-//! connection handler and the router's frontend (`mqd-router`).
+//! Bounded, timeout-tolerant socket line reading for the connection
+//! runtime ([`crate::conn`]) that the server and the router share.
 //!
 //! The serving processes read request lines off sockets with a short read
 //! timeout so a blocked read can observe the drain flag; [`LineReader`]

@@ -30,7 +30,7 @@
 
 use std::io::Write;
 
-use mqd_core::record::Record;
+use mqd_core::record::{decode_records, Record};
 use mqd_core::MqdError;
 use mqd_store::{Algorithm, QuerySpec};
 use mqd_stream::ShardEngineKind;
@@ -129,7 +129,8 @@ pub struct SubscribeSpec {
     pub after: u64,
 }
 
-fn perr(msg: impl Into<String>) -> MqdError {
+/// A typed `Protocol` error.
+pub(crate) fn perr(msg: impl Into<String>) -> MqdError {
     MqdError::Protocol { msg: msg.into() }
 }
 
@@ -380,6 +381,19 @@ pub fn parse_request(line: &str) -> Result<Request, MqdError> {
     }
 }
 
+/// Decodes an `INGESTB` body (an MQDL binary log) and enforces
+/// [`MAX_BATCH_ROWS`].
+pub fn decode_batch(body: &[u8]) -> Result<Vec<Record>, MqdError> {
+    let rows = decode_records(body)?;
+    if rows.len() > MAX_BATCH_ROWS {
+        return Err(perr(format!(
+            "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
+            rows.len()
+        )));
+    }
+    Ok(rows)
+}
+
 /// The wire name of an error: its [`MqdError`] variant name.
 pub fn error_kind(e: &MqdError) -> &'static str {
     match e {
@@ -432,6 +446,37 @@ pub fn write_overloaded<W: Write>(w: &mut W, msg: &str) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn batch_row_limit_is_a_typed_protocol_error() {
+        use mqd_core::record::encode_records;
+        // Three-byte records (id delta, value delta, zero labels): the
+        // over-limit batch stays well inside MAX_BATCH_BYTES, so the row
+        // count, not the body size, is what rejects it.
+        let rows = |n: usize| -> Vec<Record> {
+            (0..n as u64)
+                .map(|id| Record {
+                    id,
+                    value: 0,
+                    labels: Vec::new(),
+                })
+                .collect()
+        };
+        let at_limit = encode_records(&rows(MAX_BATCH_ROWS));
+        assert_eq!(decode_batch(&at_limit).unwrap().len(), MAX_BATCH_ROWS);
+        drop(at_limit);
+        let over = encode_records(&rows(MAX_BATCH_ROWS + 1));
+        assert!(over.len() <= MAX_BATCH_BYTES, "{} bytes", over.len());
+        let err = decode_batch(&over).unwrap_err();
+        assert_eq!(error_kind(&err), "Protocol");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "protocol error: batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
+                MAX_BATCH_ROWS + 1
+            )
+        );
+    }
 
     #[test]
     fn simple_commands_parse() {

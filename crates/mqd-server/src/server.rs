@@ -1,17 +1,17 @@
-//! The server runtime: acceptor, bounded admission queue, worker pool,
-//! per-connection request loop, and graceful drain.
+//! The single-node service: the durable store, the cover cache and its
+//! background refresher pool, behind the shared connection runtime
+//! ([`crate::conn`]).
 
 use std::collections::HashSet;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
-use mqd_core::record::{decode_records, format_tsv, Record};
+use mqd_core::record::{format_tsv, Record};
 use mqd_core::wire::{decode_hello, shard_of_label, ShardIdentity};
 use mqd_core::MqdError;
 use mqd_store::{
@@ -21,13 +21,11 @@ use mqd_store::{
 use mqd_stream::{resume_supervised, FaultPlan, SupervisedRun, SupervisorConfig};
 use mqd_wal::{fsio, DurableOptions, DurableStats, DurableStore};
 
-use crate::lineio::{idle_ticks_for, BodyEvent, LineEvent, LineReader, READ_TICK};
+use crate::conn::{self, Core, Counters, Flow, Service};
+use crate::lineio::READ_TICK;
 use crate::subs::{self, LeaseRegistry, SubParams};
 
-use crate::protocol::{
-    parse_request, write_err, write_ok, write_overloaded, Request, SubscribeSpec, MAX_BATCH_ROWS,
-    MAX_LINE_BYTES, TERMINATOR,
-};
+use crate::protocol::{decode_batch, perr, write_ok, Request, SubscribeSpec, TERMINATOR};
 
 /// Pending background re-solve jobs; a full queue drops the job (the next
 /// stale hit on the entry re-claims the refresh, so nothing is lost).
@@ -42,10 +40,7 @@ pub struct ServerConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
     /// Worker threads; 0 uses [`mqd_par::configured_threads`], floored at
-    /// 4. A worker owns its connection for the connection's lifetime, and
-    /// connection handling is blocking I/O, not CPU-bound — without the
-    /// floor, a single-core host serves one connection at a time and an
-    /// idle-but-open client starves everyone else.
+    /// 4 (see [`Core::bind`] for why the floor exists).
     pub threads: usize,
     /// Admission queue depth: connections waiting for a worker beyond this
     /// are answered `-OVERLOADED` instead of queued.
@@ -92,18 +87,9 @@ impl Default for ServerConfig {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    connections: AtomicU64,
-    queries: AtomicU64,
-    ingested_rows: AtomicU64,
-    subscribes: AtomicU64,
-    errors: AtomicU64,
-    overloads: AtomicU64,
-    timeouts: AtomicU64,
-}
-
 struct State {
+    /// Listener, pool sizing, drain flag and serving counters.
+    core: Core,
     /// Many queries read concurrently; only ingest takes the write half.
     store: RwLock<DurableStore>,
     cache: Mutex<CoverCache>,
@@ -117,22 +103,14 @@ struct State {
     /// Hands stale specs to the background refresher pool. `try_send`
     /// only: the request path never blocks on refresh scheduling.
     refresh_tx: SyncSender<QuerySpec>,
-    counters: Counters,
-    draining: AtomicBool,
-    addr: SocketAddr,
-    threads: usize,
     /// Cluster shard coordinates, when configured (see [`ServerConfig`]).
     shard: Option<ShardIdentity>,
-    /// Idle budget in [`READ_TICK`]s for every connection's reads.
-    idle_ticks: Option<u32>,
 }
 
 /// A bound, ready-to-run server. [`Server::run`] blocks until a `DRAIN`
 /// request shuts it down.
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<State>,
-    max_queue: usize,
+    state: State,
     refresh_rx: Receiver<QuerySpec>,
 }
 
@@ -153,13 +131,7 @@ impl Server {
                 });
             }
         }
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let threads = if cfg.threads == 0 {
-            mqd_par::configured_threads().max(4)
-        } else {
-            cfg.threads
-        };
+        let core = Core::bind(&cfg.addr, cfg.threads, cfg.max_queue, cfg.idle_timeout)?;
         let store = match &cfg.data_dir {
             Some(dir) => DurableStore::open(
                 dir,
@@ -179,87 +151,56 @@ impl Server {
         }
         let (refresh_tx, refresh_rx) = sync_channel::<QuerySpec>(REFRESH_QUEUE);
         Ok(Server {
-            listener,
-            state: Arc::new(State {
+            state: State {
+                core,
                 store: RwLock::new(store),
                 cache: Mutex::new(CoverCache::new()),
                 subs: Mutex::new(leases),
                 subs_dir,
                 fsync: cfg.fsync,
                 refresh_tx,
-                counters: Counters::default(),
-                draining: AtomicBool::new(false),
-                addr,
-                threads,
                 shard: cfg.shard,
-                idle_ticks: idle_ticks_for(cfg.idle_timeout),
-            }),
-            max_queue: cfg.max_queue.max(1),
+            },
             refresh_rx,
         })
     }
 
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.state.core.local_addr()
     }
 
     /// The worker count the pool runs with, after the floor (what STATS
     /// reports as `"threads"`).
     pub fn threads(&self) -> usize {
-        self.state.threads
+        self.state.core.threads()
     }
 
-    /// Serves until drained: the acceptor feeds a bounded channel, workers
-    /// drain it, and a full channel is answered with a typed `-OVERLOADED`
-    /// response — admission control, not a dropped connection. Returns once
-    /// a `DRAIN` request has been honored and all in-flight work finished.
+    /// Serves until drained (see [`conn::run`]), with the background
+    /// refresher pool running alongside. Returns once a `DRAIN` request
+    /// has been honored and all in-flight work finished.
     pub fn run(self) -> Result<(), MqdError> {
-        let (tx, rx) = sync_channel::<TcpStream>(self.max_queue);
-        let rx = Arc::new(Mutex::new(rx));
-        let state = self.state;
-        let refresh_rx = Arc::new(Mutex::new(self.refresh_rx));
+        let state = &self.state;
+        let refresh_rx = Mutex::new(self.refresh_rx);
         std::thread::scope(|s| {
-            for _ in 0..state.threads {
-                let rx = Arc::clone(&rx);
-                let st = Arc::clone(&state);
-                s.spawn(move || worker_loop(&rx, &st));
-            }
             // The refresher pool mirrors the worker pool's shape (shared
             // receiver behind a mutex, sized off the same thread budget):
             // re-solves are CPU work, so a fraction of the I/O pool is
-            // enough and leaves cores for serving.
-            for _ in 0..(state.threads / 4).max(1) {
-                let rx = Arc::clone(&refresh_rx);
-                let st = Arc::clone(&state);
-                s.spawn(move || refresher_loop(&rx, &st));
+            // enough and leaves cores for serving. Refreshers exit on the
+            // drain flag.
+            for _ in 0..(state.core.threads() / 4).max(1) {
+                s.spawn(|| refresher_loop(&refresh_rx, state));
             }
-            for conn in self.listener.incoming() {
-                if state.draining.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(conn) = conn else { continue };
-                state.counters.connections.fetch_add(1, Ordering::Relaxed);
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(conn)) => {
-                        state.counters.overloads.fetch_add(1, Ordering::Relaxed);
-                        let mut w = BufWriter::new(conn);
-                        let _ = write_overloaded(&mut w, "server at capacity, retry later");
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            drop(tx);
+            conn::run(state);
         });
         Ok(())
     }
 }
 
 /// Locks a shared mutex, mapping poisoning to a typed error. The
-/// catch_unwind backstop in [`handle_conn`] makes poisoning reachable
-/// without killing the process, so lock failures must flow to the client
-/// as `-ERR`, not take down the worker with a second panic.
+/// panic backstop in [`conn`] makes poisoning reachable without
+/// killing the process, so lock failures must flow to the client as
+/// `-ERR`, not take down the worker with a second panic.
 fn lock_or_poisoned<'a, T>(
     m: &'a Mutex<T>,
     what: &'static str,
@@ -292,7 +233,7 @@ fn refresher_loop(rx: &Mutex<Receiver<QuerySpec>>, state: &State) {
         match job {
             Ok(spec) => refresh_entry(state, &spec),
             Err(RecvTimeoutError::Timeout) => {
-                if state.draining.load(Ordering::SeqCst) {
+                if state.core.draining() {
                     return;
                 }
             }
@@ -334,206 +275,67 @@ fn refresh_entry(state: &State, spec: &QuerySpec) {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, state: &State) {
-    loop {
-        // Take the lock only to wait for the next connection; holding it
-        // while serving would serialize the pool.
-        let conn = {
-            // A poisoned receiver mutex means a sibling worker panicked
-            // mid-recv; the pool is already compromised, so this worker
-            // retires instead of panicking too.
-            let Ok(guard) = rx.lock() else { return };
-            // lint:allow(blocking-call,guard-held-blocking): bounded by the acceptor — dropping the sender disconnects recv with Err; the lock exists only to serialize waiters on this recv
-            guard.recv()
-        };
-        match conn {
-            Ok(c) => {
-                let _ = handle_conn(c, state);
-            }
-            Err(_) => return, // acceptor dropped the sender: drain complete
-        }
+/// The ingest acknowledgement, shared by `INGEST` and `INGESTB`.
+fn ingested((n, generation): (usize, u64)) -> (String, Vec<String>) {
+    let json = format!(r#"{{"ingested":{n},"generation":{generation}}}"#);
+    (json, Vec::new())
+}
+
+impl Service for State {
+    type Session<'s> = ();
+
+    const OVERLOADED: &'static str = "server at capacity, retry later";
+
+    fn core(&self) -> &Core {
+        &self.core
     }
-}
 
-enum Flow {
-    Continue,
-    Close,
-}
+    fn session(&self) {}
 
-fn handle_conn(conn: TcpStream, state: &State) -> std::io::Result<()> {
-    conn.set_read_timeout(Some(READ_TICK))?;
-    let _ = conn.set_nodelay(true);
-    let write_half = conn.try_clone()?;
-    let mut reader = LineReader::new(BufReader::new(conn));
-    reader.set_idle_ticks(state.idle_ticks);
-    let mut w = BufWriter::new(write_half);
-
-    loop {
-        let line = match reader.next_line(&state.draining)? {
-            LineEvent::Line(line) => line,
-            LineEvent::Eof | LineEvent::Drained => return Ok(()),
-            LineEvent::IdleTimeout => {
-                state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Timeout {
-                        msg: "request line stalled; closing idle connection".into(),
-                    },
-                );
-                return Ok(()); // reclaim the worker; no drain for a stalled peer
-            }
-            LineEvent::Oversized => {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Protocol {
-                        msg: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    },
-                );
-                reader.drain_peer();
-                return Ok(()); // cannot find the next request boundary
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-
-        let req = match parse_request(&line) {
-            Ok(r) => r,
-            Err(e) => {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(&mut w, &e)?;
-                continue;
-            }
-        };
-
-        // INGESTB/HELLO: pull the raw body before executing, so the stream
-        // stays framed even when the payload turns out to be invalid.
-        let body = match req {
-            Request::IngestBatch { bytes } | Request::Hello { bytes } => {
-                match reader.read_exact_body(bytes, &state.draining)? {
-                    BodyEvent::Body(body) => Some(body),
-                    BodyEvent::Truncated(got) => {
-                        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &MqdError::Protocol {
-                                msg: format!("truncated body: got {got} of {bytes} bytes"),
-                            },
-                        );
-                        reader.drain_peer();
-                        return Ok(()); // body boundary lost
-                    }
-                    BodyEvent::IdleTimeout(got) => {
-                        state.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_err(
-                            &mut w,
-                            &MqdError::Timeout {
-                                msg: format!("body stalled at {got} of {bytes} bytes"),
-                            },
-                        );
-                        return Ok(()); // body boundary lost; reclaim the worker
-                    }
-                }
-            }
-            _ => None,
-        };
-
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute(state, &req, body.as_deref(), &mut w)
-        }));
-        match outcome {
-            Ok(Ok(Flow::Continue)) => {}
-            Ok(Ok(Flow::Close)) => return Ok(()),
-            Ok(Err(io)) => return Err(io),
-            Err(_) => {
-                // Backstop: a handler panic answers as a typed error and
-                // closes this connection; the worker and server live on.
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_err(
-                    &mut w,
-                    &MqdError::Protocol {
-                        msg: "internal error (request handler panicked)".into(),
-                    },
-                );
-                reader.drain_peer();
-                return Ok(());
-            }
-        }
-    }
-}
-
-fn execute(
-    state: &State,
-    req: &Request,
-    body: Option<&[u8]>,
-    w: &mut impl Write,
-) -> std::io::Result<Flow> {
-    match req {
-        Request::Ping => {
-            write_ok(w, r#"{"pong":true}"#, &[])?;
-            Ok(Flow::Continue)
-        }
-        Request::Stats => {
-            match stats_json(state) {
-                Ok(json) => write_ok(w, &json, &[])?,
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::Ingest(row) => {
-            match ingest_rows(state, std::slice::from_ref(row)) {
-                Ok((_, generation)) => {
-                    write_ok(
-                        w,
-                        &format!(r#"{{"ingested":1,"generation":{generation}}}"#),
-                        &[],
-                    )?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::IngestBatch { .. } => {
-            // The caller reads the body before dispatching; a missing one
-            // is a dispatch bug, reported to the client as a typed error
-            // rather than panicking the worker.
-            let Some(body) = body else {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(
-                    w,
-                    &MqdError::Protocol {
-                        msg: "batch body missing for INGESTB".into(),
-                    },
-                )?;
+    fn execute<W: Write>(
+        &self,
+        _session: &mut (),
+        req: &Request,
+        body: Option<&[u8]>,
+        w: &mut W,
+    ) -> std::io::Result<Flow> {
+        let counters = &self.core.counters;
+        // Every verb but the three below answers one `+OK <json>` frame
+        // with payload lines, or one typed `-ERR`.
+        let answer = match req {
+            Request::Subscribe(spec) => {
+                counters.subscribes.fetch_add(1, Ordering::Relaxed);
+                subscribe(self, spec, w)?;
                 return Ok(Flow::Continue);
-            };
-            match ingest_batch(state, body) {
-                Ok((n, generation)) => {
-                    write_ok(
-                        w,
-                        &format!(r#"{{"ingested":{n},"generation":{generation}}}"#),
-                        &[],
-                    )?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
             }
-            Ok(Flow::Continue)
-        }
-        Request::Query(spec) => {
-            state.counters.queries.fetch_add(1, Ordering::Relaxed);
-            match answer_query(state, spec) {
-                Ok((rows, generation, cached, stale)) => {
-                    let payload: Vec<String> = rows.iter().map(format_tsv).collect();
+            // Graceful shutdown seals the WAL tail into a (partial) block,
+            // so a clean restart replays nothing. Failure is non-fatal: the
+            // WAL still holds the rows and recovery replays it.
+            Request::Drain => {
+                return self.core.drain(w, || {
+                    if let Ok(mut store) = write_or_poisoned(&self.store) {
+                        let _ = store.flush();
+                    }
+                });
+            }
+            Request::Quit => {
+                write_ok(w, r#"{"bye":true}"#, &[])?;
+                return Ok(Flow::Close);
+            }
+            Request::Ping => Ok((r#"{"pong":true}"#.to_string(), Vec::new())),
+            Request::Stats => stats_json(self).map(|json| (json, Vec::new())),
+            Request::Ingest(row) => ingest_rows(self, std::slice::from_ref(row)).map(ingested),
+            // The connection loop reads the body before dispatching; a
+            // missing one is a dispatch bug, reported as a typed error
+            // rather than panicking the worker.
+            Request::IngestBatch { .. } => body
+                .ok_or_else(|| perr("batch body missing for INGESTB"))
+                .and_then(decode_batch)
+                .and_then(|rows| ingest_rows(self, &rows))
+                .map(ingested),
+            Request::Query(spec) => {
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                answer_query(self, spec).map(|(rows, generation, cached, stale)| {
                     let json = format!(
                         r#"{{"algorithm":"{}","count":{},"cached":{},"stale":{},"generation":{}}}"#,
                         spec.algorithm.as_str(),
@@ -542,120 +344,60 @@ fn execute(
                         stale,
                         generation,
                     );
-                    write_ok(w, &json, &payload)?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+                    (json, rows.iter().map(format_tsv).collect())
+                })
             }
-            Ok(Flow::Continue)
-        }
-        Request::QueryCover { spec, cover } => {
-            state.counters.queries.fetch_add(1, Ordering::Relaxed);
             // Cover queries are router-internal fan-out halves: always a
             // cold solve against a slice snapshot (the router's merged
             // answer is what user-facing caching applies to), stamped with
             // the snapshot generation so the router can build its vector
             // watermark.
-            let answered = (|| {
-                let (generation, rows) = {
-                    let store = read_or_poisoned(&state.store)?;
-                    (
-                        store.generation(),
-                        run_query_cover(store.store(), spec, cover)?,
-                    )
-                };
-                Ok::<_, MqdError>((generation, rows))
-            })();
-            match answered {
-                Ok((generation, rows)) => {
-                    let payload: Vec<String> = rows.iter().map(format_tsv).collect();
-                    let json = format!(
-                        r#"{{"algorithm":"{}","count":{},"cached":false,"stale":false,"generation":{}}}"#,
-                        spec.algorithm.as_str(),
-                        rows.len(),
-                        generation,
-                    );
-                    write_ok(w, &json, &payload)?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
+            Request::QueryCover { spec, cover } => {
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                read_or_poisoned(&self.store)
+                    .and_then(|store| {
+                        Ok((
+                            store.generation(),
+                            run_query_cover(store.store(), spec, cover)?,
+                        ))
+                    })
+                    .map(|(generation, rows)| {
+                        let json = format!(
+                            r#"{{"algorithm":"{}","count":{},"cached":false,"stale":false,"generation":{}}}"#,
+                            spec.algorithm.as_str(),
+                            rows.len(),
+                            generation,
+                        );
+                        (json, rows.iter().map(format_tsv).collect())
+                    })
             }
-            Ok(Flow::Continue)
-        }
-        Request::Slice { labels, from, to } => {
             // Raw slice export for the router's merge-and-solve path. Rows
             // come back in slice order (value, then external id) with each
             // row's labels already intersected with the requested set —
             // identical rendering on every shard, so a dedup-by-id merge
             // reconstructs the single-node slice byte-for-byte.
-            let sliced = (|| {
-                let store = read_or_poisoned(&state.store)?;
-                let generation = store.generation();
+            Request::Slice { labels, from, to } => read_or_poisoned(&self.store).map(|store| {
                 let slice = store.store().slice(labels, *from, *to);
                 let rows: Vec<String> = (0..slice.instance.len() as u32)
                     .map(|i| format_tsv(&slice.record_for(i)))
                     .collect();
-                Ok::<_, MqdError>((generation, rows))
-            })();
-            match sliced {
-                Ok((generation, rows)) => {
-                    let json = format!(r#"{{"count":{},"generation":{}}}"#, rows.len(), generation);
-                    write_ok(w, &json, &rows)?;
-                }
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
+                let json = format!(
+                    r#"{{"count":{},"generation":{}}}"#,
+                    rows.len(),
+                    store.generation()
+                );
+                (json, rows)
+            }),
+            Request::Hello { .. } => body
+                .ok_or_else(|| perr("handshake body missing for HELLO"))
+                .and_then(|body| hello(self, body))
+                .map(|json| (json, Vec::new())),
+        };
+        match answer {
+            Ok((json, payload)) => write_ok(w, &json, &payload)?,
+            Err(e) => counters.fail(w, &e)?,
         }
-        Request::Hello { .. } => {
-            let Some(body) = body else {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                write_err(
-                    w,
-                    &MqdError::Protocol {
-                        msg: "handshake body missing for HELLO".into(),
-                    },
-                )?;
-                return Ok(Flow::Continue);
-            };
-            match hello(state, body) {
-                Ok(json) => write_ok(w, &json, &[])?,
-                Err(e) => {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    write_err(w, &e)?;
-                }
-            }
-            Ok(Flow::Continue)
-        }
-        Request::Subscribe(spec) => {
-            state.counters.subscribes.fetch_add(1, Ordering::Relaxed);
-            subscribe(state, spec, w)?;
-            Ok(Flow::Continue)
-        }
-        Request::Drain => {
-            state.draining.store(true, Ordering::SeqCst);
-            // Graceful shutdown seals the WAL tail into a (partial) block,
-            // so a clean restart replays nothing. Failure is non-fatal:
-            // the WAL still holds the rows and recovery replays it.
-            if let Ok(mut store) = write_or_poisoned(&state.store) {
-                let _ = store.flush();
-            }
-            write_ok(w, r#"{"draining":true}"#, &[])?;
-            // Kick the acceptor out of its blocking accept so it observes
-            // the flag; the connection itself is discarded there.
-            let _ = TcpStream::connect_timeout(&state.addr, Duration::from_millis(500));
-            Ok(Flow::Close)
-        }
-        Request::Quit => {
-            write_ok(w, r#"{"bye":true}"#, &[])?;
-            Ok(Flow::Close)
-        }
+        Ok(Flow::Continue)
     }
 }
 
@@ -822,6 +564,7 @@ fn ingest_rows(state: &State, rows: &[Record]) -> Result<(usize, u64), MqdError>
         (failure, generation, to_refresh)
     };
     state
+        .core
         .counters
         .ingested_rows
         .fetch_add(appended as u64, Ordering::Relaxed);
@@ -838,19 +581,6 @@ fn ingest_rows(state: &State, rows: &[Record]) -> Result<(usize, u64), MqdError>
     }
 }
 
-fn ingest_batch(state: &State, body: &[u8]) -> Result<(usize, u64), MqdError> {
-    let rows = decode_records(body)?;
-    if rows.len() > MAX_BATCH_ROWS {
-        return Err(MqdError::Protocol {
-            msg: format!(
-                "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
-                rows.len()
-            ),
-        });
-    }
-    ingest_rows(state, &rows)
-}
-
 fn stats_json(state: &State) -> Result<String, MqdError> {
     // Lock order: store, then cache.
     let (store_stats, durable_stats) = {
@@ -862,9 +592,9 @@ fn stats_json(state: &State) -> Result<String, MqdError> {
         &store_stats,
         &cache_stats,
         &durable_stats,
-        &state.counters,
-        state.threads,
-        state.draining.load(Ordering::SeqCst),
+        &state.core.counters,
+        state.core.threads(),
+        state.core.draining(),
         state.shard,
     ))
 }
@@ -888,7 +618,7 @@ fn render_stats(
             r#"{{"rows":{},"segments":{},"labels":{},"generation":{},"#,
             r#""min_value":{},"max_value":{},"#,
             r#""cache":{{"hits":{},"misses":{},"invalidations":{},"repairs":{},"refreshes":{},"stale_served":{},"entries":{}}},"#,
-            r#""served":{{"connections":{},"queries":{},"ingested_rows":{},"subscribes":{},"errors":{},"overloads":{},"timeouts":{}}},"#,
+            "{},",
             r#""durable":{{"wal_bytes":{},"segments_flushed":{},"compactions":{},"recovered_rows":{},"gc_segments":{}}},"#,
             r#""threads":{},"draining":{}}}"#
         ),
@@ -905,13 +635,7 @@ fn render_stats(
         cache_stats.refreshes,
         cache_stats.stale_served,
         cache_stats.entries,
-        c.connections.load(Ordering::Relaxed),
-        c.queries.load(Ordering::Relaxed),
-        c.ingested_rows.load(Ordering::Relaxed),
-        c.subscribes.load(Ordering::Relaxed),
-        c.errors.load(Ordering::Relaxed),
-        c.overloads.load(Ordering::Relaxed),
-        c.timeouts.load(Ordering::Relaxed),
+        c.render(),
         durable.wal_bytes,
         durable.segments_flushed,
         durable.compactions,
@@ -947,29 +671,20 @@ fn render_stats(
 /// to an uninterrupted session; `AFTER n` merely skips the first `n`
 /// emissions on the wire for a client that already received them.
 fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io::Result<()> {
+    let counters = &state.core.counters;
     if spec.lambda < 0 {
-        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(w, &MqdError::NegativeLambda(spec.lambda));
+        return counters.fail(w, &MqdError::NegativeLambda(spec.lambda));
     }
     if spec.tau < 0 {
-        state.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return write_err(
-            w,
-            &MqdError::Protocol {
-                msg: format!("tau must be >= 0, got {}", spec.tau),
-            },
-        );
+        return counters.fail(w, &perr(format!("tau must be >= 0, got {}", spec.tau)));
     }
     let params = SubParams::of(spec);
     let checkpoint_path = match (&spec.name, &state.subs_dir) {
         (Some(name), Some(dir)) => Some(dir.join(name)),
         (Some(_), None) => {
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            return write_err(
+            return counters.fail(
                 w,
-                &MqdError::Protocol {
-                    msg: "NAME needs a durable server (start with --data-dir)".into(),
-                },
+                &perr("NAME needs a durable server (start with --data-dir)"),
             );
         }
         (None, _) => None,
@@ -977,10 +692,7 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
     let slice = {
         let store = match read_or_poisoned(&state.store) {
             Ok(store) => store,
-            Err(e) => {
-                state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                return write_err(w, &e);
-            }
+            Err(e) => return counters.fail(w, &e),
         };
         // Lease before slicing, *while holding the store read lock*
         // (store-then-subs, the global lock order): ingest samples the
@@ -1010,8 +722,7 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
         if let Ok(bytes) = std::fs::read(path) {
             if let Ok((have, inner)) = subs::decode_wrapper(&bytes) {
                 if have != params {
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    return write_err(
+                    return counters.fail(
                         w,
                         &MqdError::CheckpointMismatch {
                             what: format!(
@@ -1076,7 +787,7 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
                     // inside the payload, keeping the framing intact. A
                     // named session keeps its checkpoint and lease for a
                     // later resume.
-                    state.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    counters.errors.fetch_add(1, Ordering::Relaxed);
                     writeln!(w, "ABORT {} {}", crate::protocol::error_kind(&e), e)?;
                     writeln!(w, "{TERMINATOR}")?;
                     return w.flush();
@@ -1135,7 +846,7 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
             }
         }
         Err(e) => {
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
+            counters.errors.fetch_add(1, Ordering::Relaxed);
             writeln!(w, "ABORT {} {}", crate::protocol::error_kind(&e), e)?;
         }
     }
@@ -1147,6 +858,7 @@ fn subscribe(state: &State, spec: &SubscribeSpec, w: &mut impl Write) -> std::io
 mod tests {
     use super::*;
     use crate::client::Client;
+    use std::net::TcpStream;
 
     fn start(threads: usize, max_queue: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let server = Server::bind(&ServerConfig {

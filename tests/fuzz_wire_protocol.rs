@@ -1,13 +1,21 @@
 //! Seeded fuzzing of the serving protocol: malformed frames, oversized
 //! requests, corrupt and truncated `INGESTB` bodies, half-closed sockets,
-//! and concurrent ingest+query traffic. The contract under test: every
-//! bad input maps to a typed error response — the server never panics and
-//! never silently drops a connection it could have answered.
+//! idle and overloaded connections, and concurrent ingest+query traffic.
+//! The contract under test: every bad input maps to a typed error
+//! response — the server never panics and never silently drops a
+//! connection it could have answered. The frame-level cases run against
+//! both front ends (a standalone server and a router fronting one
+//! standalone backend), which share one connection runtime and must answer
+//! with the same status lines.
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use mqd_core::record::{encode_records, Record};
 use mqd_rng::{RngExt, SeedableRng, StdRng};
+use mqd_router::{Router, RouterConfig};
 use mqd_server::{Client, Server, ServerConfig};
 
 fn start(threads: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
@@ -35,44 +43,153 @@ fn assert_alive(addr: SocketAddr) {
     assert!(c.request("QUIT").unwrap().is_ok());
 }
 
+/// The two front ends a client can talk to.
+#[derive(Clone, Copy, Debug)]
+enum Front {
+    /// A standalone `mqd-server`.
+    Server,
+    /// An `mqd-router` fronting one standalone backend.
+    Router,
+}
+
+/// Front-end pool settings; the router's backend always runs the
+/// defaults, so only the front end under test is squeezed.
+struct Limits {
+    threads: usize,
+    max_queue: usize,
+    idle_timeout: Option<Duration>,
+}
+
+impl Limits {
+    fn threads(threads: usize) -> Self {
+        Limits {
+            threads,
+            max_queue: 64,
+            idle_timeout: None,
+        }
+    }
+}
+
+/// A running front end; `DRAIN` through `addr` stops every process.
+struct Running {
+    addr: SocketAddr,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Front {
+    fn start(self, limits: Limits) -> Running {
+        let backend = |cfg: ServerConfig| {
+            let server = Server::bind(&cfg).unwrap();
+            (
+                server.local_addr(),
+                std::thread::spawn(move || server.run().unwrap()),
+            )
+        };
+        match self {
+            Front::Server => {
+                let (addr, handle) = backend(ServerConfig {
+                    threads: limits.threads,
+                    max_queue: limits.max_queue,
+                    idle_timeout: limits.idle_timeout,
+                    ..ServerConfig::default()
+                });
+                Running {
+                    addr,
+                    handles: vec![handle],
+                }
+            }
+            Front::Router => {
+                let (backend_addr, backend_handle) = backend(ServerConfig::default());
+                let router = Router::bind(&RouterConfig {
+                    backends: vec![backend_addr.to_string()],
+                    shards: 1,
+                    threads: limits.threads,
+                    max_queue: limits.max_queue,
+                    idle_timeout: limits.idle_timeout,
+                    ..RouterConfig::default()
+                })
+                .unwrap();
+                let addr = router.local_addr();
+                let handle = std::thread::spawn(move || router.run().unwrap());
+                Running {
+                    addr,
+                    handles: vec![handle, backend_handle],
+                }
+            }
+        }
+    }
+}
+
+impl Running {
+    /// Drains through the front end (the router cascades the drain to its
+    /// backend) and joins every process thread.
+    fn stop(self) {
+        drain(self.addr);
+        for h in self.handles {
+            h.join().unwrap();
+        }
+    }
+}
+
+/// Runs `script` against both front ends and asserts they answered with
+/// the same status lines.
+fn same_on_both_fronts(script: impl Fn(Front) -> Vec<String>) {
+    let direct = script(Front::Server);
+    let routed = script(Front::Router);
+    assert!(!direct.is_empty());
+    assert_eq!(direct, routed, "server vs router status lines");
+}
+
+/// Everything a raw socket receives until the peer closes it.
+fn read_all(mut s: TcpStream) -> String {
+    let mut buf = String::new();
+    let _ = s.read_to_string(&mut buf);
+    buf
+}
+
 #[test]
 fn garbage_lines_get_typed_errors_and_keep_the_connection() {
-    let (addr, server) = start(2);
-    let mut rng = StdRng::seed_from_u64(0xF0220);
-    let mut client = Client::connect(addr).unwrap();
-    for round in 0..200 {
-        let len = rng.random_range(0..120usize);
-        let mut line: String = (0..len)
-            .map(|_| (rng.random_range(0x20..0x7fu8)) as char)
-            .collect();
-        // `INGESTB <n>` is the one prefix that legitimately consumes raw
-        // bytes after the line; exclude it so the stream stays line-framed
-        // (dedicated body tests below cover that path).
-        if line.to_ascii_uppercase().starts_with("INGESTB") {
-            line.insert(0, '#');
+    same_on_both_fronts(|front| {
+        let running = front.start(Limits::threads(2));
+        let mut rng = StdRng::seed_from_u64(0xF0220);
+        let mut client = Client::connect(running.addr).unwrap();
+        let mut statuses = Vec::new();
+        for round in 0..200 {
+            let len = rng.random_range(0..120usize);
+            let mut line: String = (0..len)
+                .map(|_| (rng.random_range(0x20..0x7fu8)) as char)
+                .collect();
+            // `INGESTB <n>` is the one prefix that legitimately consumes
+            // raw bytes after the line; exclude it so the stream stays
+            // line-framed (dedicated body tests below cover that path).
+            if line.to_ascii_uppercase().starts_with("INGESTB") {
+                line.insert(0, '#');
+            }
+            if line.trim().is_empty() {
+                continue;
+            }
+            let resp = client.request(&line).unwrap_or_else(|e| {
+                panic!("{front:?} round {round}: no response to {line:?}: {e}")
+            });
+            assert!(
+                resp.status.starts_with("-ERR ") || resp.is_ok(),
+                "{front:?} round {round}: unframed status {:?} for {line:?}",
+                resp.status
+            );
+            assert!(
+                !resp.status.contains("panicked"),
+                "{front:?} round {round}: handler panicked on {line:?}"
+            );
+            statuses.push(resp.status);
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = client
-            .request(&line)
-            .unwrap_or_else(|e| panic!("round {round}: no response to {line:?}: {e}"));
-        assert!(
-            resp.status.starts_with("-ERR ") || resp.is_ok(),
-            "round {round}: unframed status {:?} for {line:?}",
-            resp.status
-        );
-        assert!(
-            !resp.status.contains("panicked"),
-            "round {round}: handler panicked on {line:?}"
-        );
-    }
-    // Same connection still serves real requests.
-    let resp = client.request("PING").unwrap();
-    assert!(resp.is_ok());
-    drop(client);
-    drain(addr);
-    server.join().unwrap();
+        // Same connection still serves real requests.
+        let resp = client.request("PING").unwrap();
+        assert!(resp.is_ok());
+        statuses.push(resp.status);
+        drop(client);
+        running.stop();
+        statuses
+    });
 }
 
 #[test]
@@ -116,57 +233,127 @@ fn corrupt_ingestb_bodies_are_typed_and_consume_the_frame() {
 
 #[test]
 fn truncated_body_and_half_close_is_a_typed_error() {
-    let (addr, server) = start(2);
-    let mut client = Client::connect(addr).unwrap();
-    // Announce 100 bytes, deliver 10, half-close: the server cannot
-    // recover the frame but must still answer with the typed error.
-    let mut raw = b"INGESTB 100\n".to_vec();
-    raw.extend_from_slice(&[0u8; 10]);
-    client.write_raw(&raw).unwrap();
-    client.shutdown_write().unwrap();
-    let resp = client.read_response().unwrap();
-    assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
-    assert!(resp.status.contains("truncated body"), "{}", resp.status);
-    assert_alive(addr);
-    drain(addr);
-    server.join().unwrap();
+    same_on_both_fronts(|front| {
+        let running = front.start(Limits::threads(2));
+        let mut client = Client::connect(running.addr).unwrap();
+        // Announce 100 bytes, deliver 10, half-close: the front end cannot
+        // recover the frame but must still answer with the typed error.
+        let mut raw = b"INGESTB 100\n".to_vec();
+        raw.extend_from_slice(&[0u8; 10]);
+        client.write_raw(&raw).unwrap();
+        client.shutdown_write().unwrap();
+        let resp = client.read_response().unwrap();
+        assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
+        assert!(resp.status.contains("truncated body"), "{}", resp.status);
+        assert_alive(running.addr);
+        running.stop();
+        vec![resp.status]
+    });
 }
 
 #[test]
 fn half_closed_mid_line_still_gets_an_answer() {
-    let (addr, server) = start(2);
-    // Write a fragment with no trailing newline, then half-close: the
-    // fragment is treated as a complete request line and answered.
-    let mut c = Client::connect(addr).unwrap();
-    c.write_raw(b"PI").unwrap();
-    c.shutdown_write().unwrap();
-    let resp = c.read_response().unwrap();
-    assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
-    assert_alive(addr);
-    drain(addr);
-    server.join().unwrap();
+    same_on_both_fronts(|front| {
+        let running = front.start(Limits::threads(2));
+        // Write a fragment with no trailing newline, then half-close: the
+        // fragment is treated as a complete request line and answered.
+        let mut c = Client::connect(running.addr).unwrap();
+        c.write_raw(b"PI").unwrap();
+        c.shutdown_write().unwrap();
+        let resp = c.read_response().unwrap();
+        assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
+        assert_alive(running.addr);
+        running.stop();
+        vec![resp.status]
+    });
 }
 
 #[test]
 fn oversized_requests_are_rejected_typed() {
-    let (addr, server) = start(2);
+    same_on_both_fronts(|front| {
+        let running = front.start(Limits::threads(2));
 
-    // Oversized request line (> 64 KiB): typed error, then close.
-    let mut client = Client::connect(addr).unwrap();
-    let big = "QUERY ".to_string() + &"1,".repeat(40_000) + "1 5 scan";
-    let resp = client.request(&big).unwrap();
-    assert!(resp.status.starts_with("-ERR Protocol"), "{}", resp.status);
+        // Oversized request line (> 64 KiB): typed error, then close.
+        let mut client = Client::connect(running.addr).unwrap();
+        let big = "QUERY ".to_string() + &"1,".repeat(40_000) + "1 5 scan";
+        let line = client.request(&big).unwrap();
+        assert!(line.status.starts_with("-ERR Protocol"), "{}", line.status);
 
-    // Oversized batch announcement: typed error without reading a body.
-    let mut client = Client::connect(addr).unwrap();
-    let resp = client.request("INGESTB 999999999999").unwrap();
-    assert!(resp.status.starts_with("-ERR "), "{}", resp.status);
-    let ping = client.request("PING").unwrap();
-    assert!(ping.is_ok(), "{}", ping.status);
+        // Oversized batch announcement: typed error without reading a body.
+        let mut client = Client::connect(running.addr).unwrap();
+        let batch = client.request("INGESTB 999999999999").unwrap();
+        assert!(batch.status.starts_with("-ERR "), "{}", batch.status);
+        let ping = client.request("PING").unwrap();
+        assert!(ping.is_ok(), "{}", ping.status);
 
-    assert_alive(addr);
-    drain(addr);
-    server.join().unwrap();
+        assert_alive(running.addr);
+        running.stop();
+        vec![line.status, batch.status, ping.status]
+    });
+}
+
+#[test]
+fn stalled_lines_and_bodies_time_out_typed() {
+    same_on_both_fronts(|front| {
+        let running = front.start(Limits {
+            threads: 4,
+            max_queue: 8,
+            idle_timeout: Some(Duration::from_millis(300)),
+        });
+        // Half-open: connect, send nothing. The front end must answer with
+        // a typed timeout and close, not park the worker forever.
+        let half_open = read_all(TcpStream::connect(running.addr).unwrap());
+        assert!(half_open.starts_with("-ERR Timeout "), "{half_open}");
+        // A complete INGESTB header whose body never arrives times out
+        // too (the body reader has its own budget).
+        let mut body = TcpStream::connect(running.addr).unwrap();
+        body.write_all(b"INGESTB 4096\nMQDL").unwrap();
+        body.flush().unwrap();
+        let body = read_all(body);
+        assert!(body.starts_with("-ERR Timeout "), "{body}");
+        // Well-behaved clients are untouched, and STATS counts both under
+        // the dedicated timeouts key.
+        let mut c = Client::connect(running.addr).unwrap();
+        let stats = c.request("STATS").unwrap();
+        assert!(stats.status.contains(r#""timeouts":2"#), "{}", stats.status);
+        drop(c);
+        running.stop();
+        vec![half_open, body]
+    });
+}
+
+#[test]
+fn a_full_admission_queue_is_answered_overloaded() {
+    for (front, who) in [(Front::Server, "server"), (Front::Router, "router")] {
+        let running = front.start(Limits {
+            threads: 1,
+            max_queue: 1,
+            idle_timeout: None,
+        });
+        // The only worker is pinned by a held connection once it answers.
+        let mut held = Client::connect(running.addr).unwrap();
+        assert!(held.request("PING").unwrap().is_ok());
+        // The next connection fills the one queue slot; the one after
+        // that finds the queue full.
+        let mut queued = Client::connect(running.addr).unwrap();
+        let mut turned_away = Client::connect(running.addr).unwrap();
+        let resp = turned_away.read_response().unwrap();
+        assert!(resp.is_overloaded(), "{front:?}: {}", resp.status);
+        assert_eq!(
+            resp.status,
+            format!("-OVERLOADED {who} at capacity, retry later")
+        );
+        // Releasing the held connection lets the queued one in.
+        drop(held);
+        let stats = queued.request("STATS").unwrap();
+        assert!(
+            stats.status.contains(r#""overloads":1"#),
+            "{}",
+            stats.status
+        );
+        drop(queued);
+        running.stop();
+    }
 }
 
 #[test]
